@@ -50,6 +50,7 @@ from .automaton import (
 from .automaton import compile as compile_regex
 from .teacher import Answer, Teacher
 from .learner import (
+    CounterexampleError,
     LearnConfig,
     NotClosedOrConsistentError,
     ObservationTable,

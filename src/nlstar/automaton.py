@@ -466,7 +466,9 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
         }
         if len(set(refined.values())) == len(set(block.values())):
             break
-        block = refined
+        # Renumber to ints, or signatures nest the previous round's and grow each round.
+        number = {}
+        block = {q: number.setdefault(sig, len(number)) for q, sig in refined.items()}
 
     # Canonical renumbering: breadth-first from the initial block in label order.
     rep = {}

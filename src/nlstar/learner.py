@@ -9,10 +9,16 @@ locally, without asking the teacher; row labels that are themselves
 illegal keep an all-bottom row and never participate in closedness or
 consistency checks.
 
+The table keeps one ``words.Summary`` per label and suffix: a cell's
+legality is an O(1) test on two of them.  Rows are stored, gain a column
+per new suffix and are rebuilt only when the register bound grows; the
+queries and their order are those of a full refill.
+
 The learner starts from the bare letter alphabet and discovers binders
 through counterexamples: a counterexample of depth d raises the table's
 register bound to d, which adds OPEN, CLOSE and the registers 1..d to
-the one-token extensions.
+the one-token extensions.  A false counterexample, or a hypothesis that
+does not grow after one, ends the run with ``CounterexampleError``.
 """
 
 from __future__ import annotations
@@ -22,20 +28,16 @@ from dataclasses import asdict, dataclass, field
 
 from . import automaton as am
 from .teacher import Answer, Teacher
-from .words import (
-    Alphabet,
-    IllegalWordError,
-    concat,
-    depth,
-    is_legal,
-    prefixes,
-    reg,
-    serialize_word,
-)
+from .words import Alphabet, IllegalWordError, depth, prefixes, serialize_word, summarize
 
 
 class NotClosedOrConsistentError(ValueError):
     """Hypothesis requested from a table that is not ready."""
+
+
+class CounterexampleError(ValueError):
+    """The teacher's answer is no counterexample: the hypothesis already
+    classifies the word right, or the next hypothesis did not grow."""
 
 
 class RoundLimitError(RuntimeError):
@@ -86,80 +88,98 @@ class ObservationTable:
 
     def __init__(self, sigma):
         self.sigma = frozenset(sigma)
-        self.n = 0
         self.s_words = [()]
         self.e_words = [()]
         self._answers = {}
+        self._summaries = {}
+        self._set_depth(0)
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.sigma, self.n)
+    def _set_depth(self, n):
+        """Adopt register bound ``n``; the next fill rebuilds every row."""
+        self.n = n
+        self.alphabet = Alphabet(self.sigma, n)
+        self._tokens = self.alphabet.tokens()
+        self._rows = {}
+        self._labels = None
+        self._states = None
+
+    def _summary(self, word):
+        if word not in self._summaries:
+            self._summaries[word] = summarize(word, self.sigma)
+        return self._summaries[word]
 
     def labels(self):
         """S followed by the one-token extensions not already in S, in scan order."""
-        seen = set(self.s_words)
-        out = list(self.s_words)
-        for s in self.s_words:
-            for tok in self.alphabet.tokens():
-                word = s + (tok,)
-                if word not in seen:
-                    seen.add(word)
-                    out.append(word)
-        return out
+        if self._labels is None:
+            labels = dict.fromkeys(self.s_words)
+            for s in self.s_words:
+                labels.update(dict.fromkeys(s + (tok,) for tok in self._tokens))
+            self._labels = list(labels)
+        return self._labels
 
     def fill(self, teacher: Teacher):
-        """Extend T over (S u S.A).E with membership queries, bottom where illegal."""
-        alphabet = self.alphabet
-        for label in self.labels():
-            for e in self.e_words:
-                word = concat(label, e, alphabet)
-                if word is not None and word not in self._answers:
-                    self._answers[word] = teacher.membership(word)
+        """Extend T over (S u S.A).E with membership queries, bottom where illegal.
 
-    def cell(self, label, suffix) -> Answer:
-        word = concat(label, suffix, self.alphabet)
-        if word is None:
-            return Answer.BOTTOM
-        return self._answers[word]
+        Only cells missing from the stored rows are visited, label by
+        label, so the queries come in the order a full refill asks them."""
+        self._states = None
+        for label in self.labels():
+            row = self._rows.get(label)
+            if row is not None and len(row[0]) == len(self.e_words):
+                continue
+            head = self._summary(label)
+            if head is None or not head.fits(self.n):
+                self._rows[label] = None
+                continue
+            values = list(row[0]) if row else []
+            for suffix in self.e_words[len(values):]:
+                tail = self._summary(suffix)
+                if tail is None or not tail.fits(self.n, head.final):
+                    values.append(Answer.BOTTOM)
+                    continue
+                word = label + suffix
+                if word not in self._answers:
+                    self._answers[word] = teacher.membership(word)
+                values.append(self._answers[word])
+            self._rows[label] = (tuple(values), head.final)
 
     def row(self, label):
         """(cell values over E, register count), or None for illegal labels."""
-        if not is_legal(label, self.alphabet):
-            return None
-        values = tuple(self.cell(label, e) for e in self.e_words)
-        return (values, reg(label))
+        return self._rows[label]
+
+    def _values(self, label):
+        row = self._rows[label]
+        return (Answer.BOTTOM,) * len(self.e_words) if row is None else row[0]
+
+    def cell(self, label, suffix) -> Answer:
+        return self._values(label)[self.e_words.index(suffix)]
 
     def check_closed(self):
         """First one-token extension whose row matches no S row, or None."""
-        s_rows = {self.row(s) for s in self.s_words}
-        in_s = set(self.s_words)
-        for s in self.s_words:
-            for tok in self.alphabet.tokens():
-                word = s + (tok,)
-                if word in in_s:
-                    continue
-                candidate = self.row(word)
-                if candidate is not None and candidate not in s_rows:
-                    return word
+        s_rows = {self._rows[s] for s in self.s_words}
+        for label in self.labels()[len(self.s_words):]:
+            candidate = self._rows[label]
+            if candidate is not None and candidate not in s_rows:
+                return label
         return None
 
     def check_consistent(self):
         """First token.suffix extension separating two equal S rows, or None."""
         groups = {}
         for s in self.s_words:
-            key = self.row(s)
-            groups.setdefault(key, []).append(s)
-        clashes = [members for key, members in groups.items() if key is not None and len(members) > 1]
-        if not clashes:
-            return None
-        for tok in self.alphabet.tokens():
-            for e in self.e_words:
-                for members in clashes:
-                    first = members[0]
-                    base = self.cell(first + (tok,), e)
-                    for other in members[1:]:
-                        if self.cell(other + (tok,), e) != base:
-                            return (tok,) + e
+            if self._rows[s] is not None:
+                groups.setdefault(self._rows[s], []).append(s)
+        clashes = [members for members in groups.values() if len(members) > 1]
+        # Tokens are scanned first, then suffixes: report the leftmost split.
+        for tok in self._tokens:
+            splits = []
+            for members in clashes:
+                base, *others = [self._values(s + (tok,)) for s in members]
+                for cells in others:
+                    if cells != base:
+                        splits.append(next(i for i, x in enumerate(base) if x is not cells[i]))
+            if splits:
+                return (tok,) + self.e_words[min(splits)]
         return None
 
     def extend_close(self, witness, teacher: Teacher):
@@ -168,6 +188,7 @@ class ObservationTable:
         if witness in self.s_words:
             raise ValueError(f"{witness!r} is already a row label in S")
         self.s_words.append(witness)
+        self._labels = None
         self.fill(teacher)
 
     def extend_consistent(self, column, teacher: Teacher):
@@ -181,81 +202,60 @@ class ObservationTable:
     def handle_counterexample(self, counterexample, teacher: Teacher):
         """Add the counterexample and its prefixes to S and widen the
         register bound to its depth, growing the token alphabet."""
-        if not is_legal(counterexample, self.alphabet.with_depth(depth(counterexample))):
-            raise IllegalWordError(
-                f"counterexample is not legal: {serialize_word(counterexample)!r}"
-            )
+        summary = self._summary(counterexample)
+        if summary is None or not summary.fits(summary.peak):
+            raise IllegalWordError(f"illegal counterexample: {serialize_word(counterexample)!r}")
         existing = set(self.s_words)
-        for prefix in prefixes(counterexample):
-            if prefix not in existing:
-                existing.add(prefix)
-                self.s_words.append(prefix)
-        self.n = max(self.n, depth(counterexample))
+        self.s_words += [p for p in prefixes(counterexample) if p not in existing]
+        self._labels = None
+        if summary.peak > self.n:
+            self._set_depth(summary.peak)
         self.fill(teacher)
 
     def state_map(self):
         """Distinct (row, register) pairs of S, numbered in first-occurrence order."""
-        ids = {}
-        for s in self.s_words:
-            key = self.row(s)
-            if key is not None and key not in ids:
-                ids[key] = f"q{len(ids)}"
-        return ids
+        if self._states is None:
+            self._states = {}
+            for s in self.s_words:
+                key = self._rows[s]
+                if key is not None and key not in self._states:
+                    self._states[key] = f"q{len(self._states)}"
+        return self._states
 
     def state_of(self, label):
         """Hypothesis state a label maps to, or None for illegal labels."""
-        key = self.row(label)
-        if key is None:
-            return None
-        return self.state_map().get(key)
+        key = self._rows[label]
+        return None if key is None else self.state_map().get(key)
 
     def to_automaton(self) -> am.NominalAutomaton:
         """Hypothesis machine of a closed and consistent table."""
         if self.check_closed() is not None or self.check_consistent() is not None:
             raise NotClosedOrConsistentError("table is not closed and consistent")
         ids = self.state_map()
-        layers = {ids[key]: key[1] for key in ids}
+        layers = {state: register for (_, register), state in ids.items()}
         eps_col = self.e_words.index(())
-        finals = []
-        for key, state in ids.items():
-            values, register = key
-            if values[eps_col] is Answer.ONE and register == 0:
-                finals.append(state)
+        finals = [state for (values, register), state in ids.items()
+                  if values[eps_col] is Answer.ONE and register == 0]
         delta = {}
         for s in self.s_words:
-            src = ids[self.row(s)]
-            for tok in self.alphabet.tokens():
-                succ = self.row(s + (tok,))
-                if succ is None:
-                    continue
-                dst = ids[succ]
-                if (src, tok) in delta and delta[(src, tok)] != dst:
-                    raise NotClosedOrConsistentError(
-                        f"conflicting successors for ({src}, {tok!r})"
-                    )
-                delta[(src, tok)] = dst
+            src = ids[self._rows[s]]
+            for tok in self._tokens:
+                succ = self._rows[s + (tok,)]
+                if succ is not None and delta.setdefault((src, tok), ids[succ]) != ids[succ]:
+                    raise NotClosedOrConsistentError(f"conflicting successors for ({src}, {tok!r})")
         transitions = [(src, tok, dst) for (src, tok), dst in delta.items()]
-        return am.NominalAutomaton(
-            self.sigma, self.n, layers, ids[self.row(())], finals, transitions
-        )
-
-    def cell_count(self) -> int:
-        return len(self.labels()) * len(self.e_words)
+        initial = ids[self._rows[()]]
+        return am.NominalAutomaton(self.sigma, self.n, layers, initial, finals, transitions)
 
     def grid(self) -> str:
         """Plain-text table: register column, row labels, one column per suffix."""
-
-        def name(word):
-            return serialize_word(word) if word else "eps"
-
-        header = ["reg", "label"] + [name(e) for e in self.e_words]
-        body = []
-        for label in self.labels():
-            legal = is_legal(label, self.alphabet)
-            body.append(
-                [str(reg(label)) if legal else "-", name(label)]
-                + [self.cell(label, e).short for e in self.e_words]
-            )
+        header = ["reg", "label"] + [serialize_word(e) or "eps" for e in self.e_words]
+        body = [
+            ["-" if self._rows[label] is None else str(self._rows[label][1]),
+             serialize_word(label) or "eps"]
+            + [cell.short for cell in self._values(label)]
+            for label in self.labels()
+        ]
         widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
 
         def fmt(row):
@@ -297,13 +297,9 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
             s_size=len(table.s_words),
             e_size=len(table.e_words),
             n=table.n,
-            cells=table.cell_count(),
+            cells=len(table.labels()) * len(table.e_words),
             max_counterexample_len=max(
-                (
-                    len(snap.answer.split())
-                    for snap in snapshots
-                    if snap.answer != "yes"
-                ),
+                (len(snap.answer.split()) for snap in snapshots if snap.answer != "yes"),
                 default=0,
             ),
             rounds=snapshots,
@@ -312,9 +308,7 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
     round_index = 0
     while True:
         if config.max_rounds is not None and round_index >= config.max_rounds:
-            raise RoundLimitError(
-                f"round cap {config.max_rounds} exceeded", stats()
-            )
+            raise RoundLimitError(f"round cap {config.max_rounds} exceeded", stats())
         round_index += 1
         while True:
             witness = table.check_closed()
@@ -326,20 +320,24 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
             if witness is None and column is None:
                 break
         hypothesis = table.to_automaton()
+        if snapshots and am.state_count(hypothesis) <= snapshots[-1].hypothesis_states:
+            raise CounterexampleError(f"no growth after counterexample {snapshots[-1].answer!r}")
         if config.on_hypothesis is not None:
             config.on_hypothesis(table, hypothesis)
         counterexample = teacher.equivalence(hypothesis)
-        snapshots.append(
-            RoundSnapshot(
-                round=round_index,
-                s_size=len(table.s_words),
-                e_size=len(table.e_words),
-                n=table.n,
-                hypothesis_states=am.state_count(hypothesis),
-                answer="yes" if counterexample is None else serialize_word(counterexample),
-                table=table.grid() if config.capture_tables else None,
-            )
-        )
+        snapshots.append(RoundSnapshot(
+            round=round_index,
+            s_size=len(table.s_words),
+            e_size=len(table.e_words),
+            n=table.n,
+            hypothesis_states=am.state_count(hypothesis),
+            answer="yes" if counterexample is None else serialize_word(counterexample),
+            table=table.grid() if config.capture_tables else None,
+        ))
         if counterexample is None:
             return hypothesis, stats()
         table.handle_counterexample(counterexample, teacher)
+        # The cell (counterexample, eps) is filled by now, so this asks no query.
+        claimed = depth(counterexample) <= hypothesis.n and am.accepts(hypothesis, counterexample)
+        if claimed == (table.cell(counterexample, ()) is Answer.ONE):
+            raise CounterexampleError(f"hypothesis is right on {serialize_word(counterexample)!r}")

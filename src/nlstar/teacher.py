@@ -38,6 +38,7 @@ class Teacher:
         self.membership_queries = 0
         self.equivalence_queries = 0
         self.log = []
+        self._alphabet = Alphabet(target.sigma, target.n)
         self._delta = {(src, label): dst for src, label, dst in target.transitions}
         self._live = self._co_reachable()
 
@@ -73,7 +74,7 @@ class Teacher:
         """ONE if the word is in the language, P if it extends to a member,
         ZERO otherwise.  ONE wins when both hold.  Illegal words are a
         learner bug: the learner must mark those cells itself."""
-        if not is_legal(word, Alphabet(self.target.sigma, self.target.n)):
+        if not is_legal(word, self._alphabet):
             raise IllegalWordError(
                 f"membership query for illegal word {serialize_word(word)!r}"
             )

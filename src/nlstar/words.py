@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 OPEN = "<<"
 CLOSE = ">>"
@@ -71,14 +72,37 @@ class Alphabet:
             out.append(CLOSE)
         return tuple(out)
 
-    def with_depth(self, n: int) -> "Alphabet":
-        return Alphabet(self.sigma, n)
+
+class Summary(NamedTuple):
+    """One left-to-right scan of a word, with counts relative to the
+    number of binders open when the word starts (its *entry count*)."""
+
+    final: int  # open count at the end
+    low: int  # lowest open count reached, at most 0
+    peak: int  # highest open count reached, at least 0
+    need: int  # least entry count every register reference needs, at least 0
+    in_sigma: bool  # every letter is in sigma
+
+    def fits(self, n: int, entry: int = 0) -> bool:
+        """True iff the word is legal with depth at most ``n`` when it
+        starts with ``entry`` binders open, as the tail of a legal word."""
+        return (
+            self.in_sigma
+            and entry + self.low >= 0
+            and entry >= self.need
+            and entry + self.peak <= n
+        )
 
 
-def _scan(word):
-    """Counter trace of ``word``; returns (final, peak) or None if ill-formed."""
-    count = 0
-    peak = 0
+def summarize(word, sigma=frozenset()) -> "Summary | None":
+    """Summary of ``word`` against the letters ``sigma``, or None when a
+    register reference below 1 makes the word illegal in every context.
+
+    ``s + e`` is legal for depth ``n`` exactly when
+    ``summarize(s).fits(n)`` and ``summarize(e).fits(n, summarize(s).final)``.
+    """
+    count = low = peak = need = 0
+    in_sigma = True
     for tok in word:
         if tok == OPEN:
             count += 1
@@ -86,42 +110,40 @@ def _scan(word):
                 peak = count
         elif tok == CLOSE:
             count -= 1
-            if count < 0:
-                return None
+            if count < low:
+                low = count
         elif isinstance(tok, int):
-            if not 1 <= tok <= count:
+            if tok < 1:
                 return None
-    return count, peak
+            if tok - count > need:
+                need = tok - count
+        elif isinstance(tok, str) and tok not in sigma:
+            in_sigma = False
+    return Summary(count, low, peak, need, in_sigma)
 
 
 def is_legal(word, alphabet: Alphabet) -> bool:
     """True iff ``word`` is legal and fits the alphabet (letters and depth)."""
-    scanned = _scan(word)
-    if scanned is None:
-        return False
-    _, peak = scanned
-    if peak > alphabet.n:
-        return False
-    for tok in word:
-        if isinstance(tok, str) and tok not in (OPEN, CLOSE) and tok not in alphabet.sigma:
-            return False
-    return True
+    summary = summarize(word, alphabet.sigma)
+    return summary is not None and summary.fits(alphabet.n)
+
+
+def _well_formed(word) -> Summary:
+    """Summary of a word whose brackets and references are legal, at any depth."""
+    summary = summarize(word)
+    if summary is None or summary.low < 0 or summary.need > 0:
+        raise IllegalWordError(f"illegal word: {serialize_word(word)!r}")
+    return summary
 
 
 def reg(word) -> int:
     """Number of binders still open at the end of a legal word."""
-    scanned = _scan(word)
-    if scanned is None:
-        raise IllegalWordError(f"illegal word: {serialize_word(word)!r}")
-    return scanned[0]
+    return _well_formed(word).final
 
 
 def depth(word) -> int:
     """Maximum binder nesting reached while scanning a legal word."""
-    scanned = _scan(word)
-    if scanned is None:
-        raise IllegalWordError(f"illegal word: {serialize_word(word)!r}")
-    return scanned[1]
+    return _well_formed(word).peak
 
 
 def concat(s, e, alphabet: Alphabet):

@@ -20,7 +20,7 @@ from nlstar.learner import LearnConfig, run_nlstar
 from nlstar.oracle import EnumBound, brute_equivalence, brute_membership, enumerate_legal
 from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
-from nlstar.words import CLOSE, OPEN, Alphabet, concat, is_legal, parse_word
+from nlstar.words import CLOSE, OPEN, Alphabet, concat, is_legal, parse_word, reg, serialize_word
 
 from .corpus import SIGMA, binder_free_targets, corpus_targets
 
@@ -41,14 +41,22 @@ def criterion(number, description):
     print(f"criterion {number} ({description}): PASS")
 
 
-def table_agreement_violations(table, hypothesis):
+def table_agreement_violations(table, hypothesis, teacher):
     """Count mismatches between the table and its hypothesis machine:
     the run of every row label must land on that row's state, and
-    acceptance of label+suffix must equal the cell being ONE."""
+    acceptance of label+suffix must equal the cell being ONE.  Every
+    stored row must also equal the row recomputed with
+    is_legal/concat and the teacher's logged answers."""
     violations = 0
+    answers = {
+        record["input"]: Answer(record["answer"])
+        for record in teacher.log
+        if record["kind"] == "member"
+    }
     delta = {(src, label): dst for src, label, dst in hypothesis.transitions}
     for label in table.labels():
         if not is_legal(label, table.alphabet):
+            violations += table.row(label) is not None
             continue
         state = hypothesis.initial
         for tok in label:
@@ -57,13 +65,16 @@ def table_agreement_violations(table, hypothesis):
                 break
         if state != table.state_of(label):
             violations += 1
+        rebuilt = []
         for suffix in table.e_words:
             word = concat(label, suffix, table.alphabet)
+            rebuilt.append(Answer.BOTTOM if word is None else answers[serialize_word(word)])
             if word is None:
                 continue
             accepted = am.accepts(hypothesis, word)
             if accepted != (table.cell(label, suffix) is Answer.ONE):
                 violations += 1
+        violations += table.row(label) != (tuple(rebuilt), reg(label))
     return violations
 
 
@@ -73,7 +84,7 @@ def learn_with_audit(target_machine, strategy=Strategy.SHORTEST):
     audit = {"violations": 0, "hypotheses": 0}
 
     def on_hypothesis(table, hypothesis):
-        audit["violations"] += table_agreement_violations(table, hypothesis)
+        audit["violations"] += table_agreement_violations(table, hypothesis, teacher)
         audit["hypotheses"] += 1
 
     learned, stats = run_nlstar(

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +264,21 @@ def test_minimize_idempotent():
     again = am.minimize(mini)
     assert am.state_count(again) == am.state_count(mini)
     assert am.isomorphic(mini, again)
+
+
+@pytest.mark.parametrize(
+    "text", ["<n. <m. <k. k a> m> n>", "<n. <m. <k. <l. l a> k> m> n>"]
+)
+def test_minimize_deep_nesting_is_fast(text):
+    # Refinement must renumber its blocks each round; nested signatures
+    # grow exponentially with the rounds, which grow with the nesting.
+    cne = canonicalize(parse_regex(text, {"a"}))
+    det = am.determinize(am.compile(cne, {"a"}))
+    started = time.monotonic()
+    mini = am.minimize(det)
+    assert time.monotonic() - started < 5.0
+    assert am.equivalence(mini, det) is None
+    assert am.isomorphic(am.minimize(mini), mini)
 
 
 def test_minimize_rejects_nondeterministic():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from nlstar import automaton as am
 from nlstar.automaton import Strategy
 from nlstar.learner import (
+    CounterexampleError,
     LearnConfig,
     NotClosedOrConsistentError,
     ObservationTable,
@@ -122,6 +123,17 @@ def test_bottom_cells_appear_once_binders_exist():
     assert table.cell(("a", "b"), (OPEN,)) is Answer.P
 
 
+def test_deeper_counterexample_rebuilds_stored_rows():
+    teacher = Teacher.from_regex("<n. <m. m a> n>", AB)
+    table = init_table(teacher)
+    table.handle_counterexample((OPEN, CLOSE), teacher)
+    table.extend_consistent((OPEN,), teacher)
+    assert table.cell((OPEN,), (OPEN,)) is Answer.BOTTOM  # depth 2 > n = 1
+    table.handle_counterexample((OPEN, OPEN, CLOSE, CLOSE), teacher)
+    assert table.cell((OPEN,), (OPEN,)) is Answer.P
+    assert table.row((OPEN,)) == ((Answer.P, Answer.P), 1)
+
+
 def test_extension_never_returns_same_witness():
     teacher = worked_teacher()
     table = init_table(teacher)
@@ -198,6 +210,40 @@ def test_round_cap_raises():
     with pytest.raises(RoundLimitError) as err:
         run_nlstar(worked_teacher(), LearnConfig(max_rounds=1))
     assert err.value.stats.equivalence_queries == 1
+
+
+class FixedAnswerTeacher(Teacher):
+    """Answers every equivalence query with the same word."""
+
+    def __init__(self, target, counterexample, member=None):
+        super().__init__(target)
+        self.counterexample = counterexample
+        self.member = member
+
+    def membership(self, word):
+        return super().membership(word) if self.member is None else self.member
+
+    def equivalence(self, hypothesis):
+        self.equivalence_queries += 1
+        return self.counterexample
+
+
+def test_correctly_classified_counterexample_is_rejected():
+    # The first hypothesis rejects everything, and "b" is not in the language.
+    teacher = FixedAnswerTeacher(worked_teacher().target, ("b",))
+    with pytest.raises(CounterexampleError, match="'b'"):
+        run_nlstar(teacher, LearnConfig(max_rounds=20))
+    assert teacher.equivalence_queries == 1
+
+
+def test_hypothesis_that_stops_growing_is_rejected():
+    # Every word is claimed a member, so "<<" is misclassified by each
+    # hypothesis (finals need register 0), yet the second hypothesis has
+    # nothing left to split and the third repeats it.
+    teacher = FixedAnswerTeacher(worked_teacher().target, (OPEN,), member=Answer.ONE)
+    with pytest.raises(CounterexampleError, match="<<1."):
+        run_nlstar(teacher, LearnConfig(max_rounds=20))
+    assert teacher.equivalence_queries == 2
 
 
 def test_hypothesis_hook_sees_ready_tables():

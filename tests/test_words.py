@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlstar.words import (
@@ -15,6 +15,7 @@ from nlstar.words import (
     prefixes,
     reg,
     serialize_word,
+    summarize,
 )
 
 AB1 = Alphabet({"a", "b"}, 1)
@@ -163,3 +164,42 @@ def test_parse_normalizes(text):
         return
     if is_legal(word, AB2):
         assert parse_word(serialize_word(word)) == word
+
+
+def legal_by_definition(word, sigma, n):
+    """The legality rule of the module docstring, scanned directly."""
+    count = 0
+    for tok in word:
+        if tok == OPEN:
+            count += 1
+            if count > n:
+                return False
+        elif tok == CLOSE:
+            count -= 1
+            if count < 0:
+                return False
+        elif isinstance(tok, int):
+            if not 1 <= tok <= count:
+                return False
+        elif tok not in sigma:
+            return False
+    return True
+
+
+# Illegal brackets, dangling and non-positive registers, a foreign letter.
+rough_token = st.one_of(
+    st.sampled_from(["a", "b", "c", OPEN, CLOSE]), st.integers(min_value=-1, max_value=4)
+)
+rough_words = st.lists(rough_token, max_size=10).map(tuple)
+
+
+@given(rough_words, rough_words, st.integers(min_value=0, max_value=4))
+@settings(max_examples=500)
+def test_summary_cell_test_matches_concat(left, right, n):
+    sigma = {"a", "b"}
+    head, tail = summarize(left, sigma), summarize(right, sigma)
+    fast = (
+        head is not None and head.fits(n) and tail is not None and tail.fits(n, head.final)
+    )
+    assert fast == (concat(left, right, Alphabet(sigma, n)) is not None)
+    assert fast == legal_by_definition(left + right, sigma, n)
