@@ -17,7 +17,7 @@ import json
 from enum import Enum
 
 from . import regex as rx
-from .words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal
+from .words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, is_letter
 
 
 class _EpsLabel:
@@ -59,17 +59,20 @@ class Strategy(Enum):
     MIN_FRESH = "min-fresh"
 
 
-def _label_key(label):
-    """Fixed label order: letters, then registers, then OPEN, CLOSE, eps."""
-    if isinstance(label, _EpsLabel):
-        return (4, "")
-    if label == OPEN:
-        return (2, "")
-    if label == CLOSE:
-        return (3, "")
-    if isinstance(label, int):
-        return (1, f"{label:09d}")
-    return (0, label)
+# How far each label moves the layer; every label not listed keeps it.
+_SHIFT = {OPEN: 1, CLOSE: -1}
+
+
+def _reachable(start, successors):
+    """Everything reachable from ``start`` through ``successors``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for succ in successors(stack.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
 
 
 class NominalAutomaton:
@@ -82,7 +85,7 @@ class NominalAutomaton:
 
     def __init__(self, sigma, n, layers, initial, finals, transitions):
         self.sigma = frozenset(sigma)
-        self.n = int(n)
+        self.n = n
         self.layers = dict(layers)
         self.initial = initial
         self.finals = frozenset(finals)
@@ -94,13 +97,17 @@ class NominalAutomaton:
         self._closure_cache = {}
 
     def _validate(self):
-        if self.n < 0:
-            raise InvalidAutomatonError("n must be non-negative")
+        # ``type(x) is int`` rejects bools, which isinstance counts as ints.
+        if type(self.n) is not int or self.n < 0:
+            raise InvalidAutomatonError(f"n must be a non-negative int, got {self.n!r}")
+        for letter in self.sigma:
+            if not is_letter(letter):
+                raise InvalidAutomatonError(f"sigma holds an invalid letter {letter!r}")
         for state, layer in self.layers.items():
             if not isinstance(state, str):
                 raise InvalidAutomatonError(f"state ids must be strings, got {state!r}")
-            if not 0 <= layer <= self.n:
-                raise InvalidAutomatonError(f"state {state} has layer {layer} outside 0..{self.n}")
+            if type(layer) is not int or not 0 <= layer <= self.n:
+                raise InvalidAutomatonError(f"state {state}: layer {layer!r} is not an int in 0..{self.n}")
         if self.initial not in self.layers:
             raise InvalidAutomatonError(f"unknown initial state {self.initial!r}")
         if self.layers[self.initial] != 0:
@@ -113,17 +120,11 @@ class NominalAutomaton:
         for src, label, dst in self.transitions:
             if src not in self.layers or dst not in self.layers:
                 raise InvalidAutomatonError(f"transition references unknown state: {(src, label, dst)}")
-            lsrc, ldst = self.layers[src], self.layers[dst]
-            if label == OPEN:
-                ok = ldst == lsrc + 1
-            elif label == CLOSE:
-                ok = ldst == lsrc - 1
-            elif isinstance(label, _EpsLabel):
-                ok = ldst == lsrc
-            elif isinstance(label, int):
-                ok = ldst == lsrc and 1 <= label <= lsrc
-            elif isinstance(label, str) and label in self.sigma:
-                ok = ldst == lsrc
+            lsrc = self.layers[src]
+            if type(label) is int:
+                ok = self.layers[dst] == lsrc and 1 <= label <= lsrc
+            elif label in (OPEN, CLOSE, EPS) or (isinstance(label, str) and label in self.sigma):
+                ok = self.layers[dst] == lsrc + _SHIFT.get(label, 0)
             else:
                 raise InvalidAutomatonError(f"unknown label {label!r}")
             if not ok:
@@ -149,19 +150,11 @@ class NominalAutomaton:
     def eps_closure(self, states):
         out = set()
         for state in states:
-            cached = self._closure_cache.get(state)
-            if cached is None:
-                cached = set()
-                stack = [state]
-                while stack:
-                    q = stack.pop()
-                    if q in cached:
-                        continue
-                    cached.add(q)
-                    stack.extend(self._succ.get((q, EPS), ()))
-                self._closure_cache[state] = frozenset(cached)
-                cached = self._closure_cache[state]
-            out |= cached
+            if state not in self._closure_cache:
+                self._closure_cache[state] = frozenset(
+                    _reachable(state, lambda q: self._succ.get((q, EPS), ()))
+                )
+            out |= self._closure_cache[state]
         return frozenset(out)
 
     def __repr__(self):
@@ -247,13 +240,7 @@ def compile(cne, sigma=None) -> NominalAutomaton:
     forward = {}
     for src, _, dst in transitions:
         forward.setdefault(src, []).append(dst)
-    reachable = {start}
-    stack = [start]
-    while stack:
-        for succ in forward.get(stack.pop(), ()):
-            if succ not in reachable:
-                reachable.add(succ)
-                stack.append(succ)
+    reachable = _reachable(start, lambda q: forward.get(q, ()))
     layers = {q: layer for q, layer in layers.items() if q in reachable}
     transitions = [t for t in transitions if t[0] in reachable and t[2] in reachable]
     finals = [end] if end in reachable else []
@@ -297,56 +284,31 @@ def determinize(m: NominalAutomaton, n=None) -> NominalAutomaton:
         raise ValueError(f"cannot shrink layer bound {m.n} to {n}")
 
     start = m.eps_closure([m.initial])
-    start_layers = {m.layers[q] for q in start}
-    if start_layers != {0}:
+    if {m.layers[q] for q in start} != {0}:
         raise InvalidAutomatonError("initial closure mixes layers")
 
-    ids = {}
-    layers = {}
+    # Keys are (subset, layer); the empty subset of a layer is its sink.
+    order = [(start, 0)]
+    ids = {order[0]: "q0"}
     transitions = []
-    order = []
-
-    def intern(key, layer):
-        if key not in ids:
-            ids[key] = f"q{len(ids)}"
-            layers[ids[key]] = layer
-            order.append((key, layer))
-        return ids[key]
-
-    intern(start, 0)
-    index = 0
-    while index < len(order):
-        key, layer = order[index]
-        index += 1
-        src = ids[key]
+    for key in order:  # grows while it is walked: breadth-first
+        subset, layer = key
         for label in _legal_labels(m.sigma, n, layer):
-            if label == OPEN:
-                nlayer = layer + 1
-            elif label == CLOSE:
-                nlayer = layer - 1
-            else:
-                nlayer = layer
-            if isinstance(key, tuple) and key[0] == "sink":
-                dst = intern(("sink", nlayer), nlayer)
-            else:
-                stepped = set()
-                for q in key:
-                    stepped.update(m.successors(q, label))
-                closed = m.eps_closure(stepped)
-                if closed:
-                    got = {m.layers[q] for q in closed}
-                    if got != {nlayer}:
-                        raise InvalidAutomatonError("subset mixes layers")
-                    dst = intern(closed, nlayer)
-                else:
-                    dst = intern(("sink", nlayer), nlayer)
-            transitions.append((src, label, dst))
-    finals = [
-        ids[key]
-        for key, _ in order
-        if not (isinstance(key, tuple) and key[0] == "sink") and key & m.finals
-    ]
-    return NominalAutomaton(m.sigma, n, layers, ids[start], finals, transitions)
+            nlayer = layer + _SHIFT.get(label, 0)
+            stepped = set()
+            for q in subset:
+                stepped.update(m.successors(q, label))
+            closed = m.eps_closure(stepped)
+            if closed and {m.layers[q] for q in closed} != {nlayer}:
+                raise InvalidAutomatonError("subset mixes layers")
+            dst = (closed, nlayer)
+            if dst not in ids:
+                ids[dst] = f"q{len(ids)}"
+                order.append(dst)
+            transitions.append((ids[key], label, ids[dst]))
+    layers = {ids[key]: key[1] for key in order}
+    finals = [ids[key] for key in order if key[0] & m.finals]
+    return NominalAutomaton(m.sigma, n, layers, "q0", finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +323,15 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     minimum-length witnesses, then lexicographic in the fixed label
     order.  Works on arbitrary inputs; both sides are determinized over
     the larger layer bound first.
+
+    The product is searched breadth-first, expanding edges in label
+    order, and each node keeps the edge it was first reached by.  A word
+    leads to one node, so by induction on the length each level is
+    discovered in the order of its nodes' least words, and the first
+    parent of a node extends the least word of the level before that
+    reaches it.  The path back through the parents is thus the least
+    shortest word, so the witness is the first differing node of the
+    level (of those with the extreme depth, for the fresh strategies).
     """
     if m1.sigma != m2.sigma:
         raise AlphabetMismatchError(
@@ -372,70 +343,35 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     delta1 = {(src, label): dst for src, label, dst in d1.transitions}
     delta2 = {(src, label): dst for src, label, dst in d2.transitions}
 
-    def differing(node):
-        s1, s2, _ = node
-        return (s1 in d1.finals) != (s2 in d2.finals)
-
-    # Nodes are (state1, state2, max-layer-so-far); edge labels follow the
-    # fixed label order so adjacency lists are already sorted.
+    # Nodes are (state1, state2, max-layer-so-far); the last is the
+    # binder depth of the node's words.
     start = (d1.initial, d2.initial, 0)
-    adjacency = {}
+    parent = {start: None}
     frontier = [start]
-    seen = {start}
-    candidates = []
-    dist = 0
-    target_dist = None
-    while frontier and target_dist is None:
-        hits = [node for node in frontier if differing(node)]
+    while frontier:
+        hits = [node for node in frontier if (node[0] in d1.finals) != (node[1] in d2.finals)]
         if hits:
-            candidates = hits
-            target_dist = dist
-            break
+            if strategy is not Strategy.SHORTEST:
+                extreme = max if strategy is Strategy.MAX_FRESH else min
+                pick = extreme(peak for _, _, peak in hits)
+                hits = [node for node in hits if node[2] == pick]
+            word = []
+            node = hits[0]
+            while parent[node] is not None:
+                node, label = parent[node]
+                word.append(label)
+            return tuple(reversed(word))
         next_frontier = []
         for node in frontier:
             s1, s2, peak = node
-            layer = d1.layers[s1]
-            edges = []
-            for label in _legal_labels(m1.sigma, n, layer):
-                nlayer = layer + 1 if label == OPEN else layer - 1 if label == CLOSE else layer
-                succ = (delta1[(s1, label)], delta2[(s2, label)], max(peak, nlayer))
-                edges.append((label, succ))
-                if succ not in seen:
-                    seen.add(succ)
+            for label in _legal_labels(m1.sigma, n, d1.layers[s1]):
+                t1 = delta1[(s1, label)]
+                succ = (t1, delta2[(s2, label)], max(peak, d1.layers[t1]))
+                if succ not in parent:
+                    parent[succ] = (node, label)
                     next_frontier.append(succ)
-            adjacency[node] = edges
         frontier = next_frontier
-        dist += 1
-    if target_dist is None:
-        return None
-
-    if strategy is Strategy.MAX_FRESH:
-        pick = max(node[2] for node in candidates)
-        targets = {node for node in candidates if node[2] == pick}
-    elif strategy is Strategy.MIN_FRESH:
-        pick = min(node[2] for node in candidates)
-        targets = {node for node in candidates if node[2] == pick}
-    else:
-        targets = set(candidates)
-
-    # Exact-length backward reachability, then a greedy lexicographic walk.
-    reach = [targets]
-    for _ in range(target_dist):
-        prev = reach[-1]
-        reach.append(
-            {node for node, edges in adjacency.items() if any(dst in prev for _, dst in edges)}
-        )
-    node = start
-    word = []
-    for remaining in range(target_dist, 0, -1):
-        for label, succ in adjacency[node]:
-            if succ in reach[remaining - 1]:
-                word.append(label)
-                node = succ
-                break
-        else:
-            raise AssertionError("witness reconstruction lost the target set")
-    return tuple(word)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +389,15 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
         raise NondeterministicInputError("minimize requires a deterministic automaton")
     d = determinize(m)  # reachable part, totalised on legal labels
     delta = {(src, label): dst for src, label, dst in d.transitions}
-    states = list(d.layers)
 
-    block = {q: (d.layers[q], q in d.finals) for q in states}
+    block = {q: (d.layers[q], q in d.finals) for q in d.layers}
     while True:
         refined = {
             q: (
                 block[q],
                 tuple(block[delta[(q, label)]] for label in _legal_labels(d.sigma, d.n, d.layers[q])),
             )
-            for q in states
+            for q in d.layers
         }
         if len(set(refined.values())) == len(set(block.values())):
             break
@@ -470,34 +405,20 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
         number = {}
         block = {q: number.setdefault(sig, len(number)) for q, sig in refined.items()}
 
-    # Canonical renumbering: breadth-first from the initial block in label order.
+    # The quotient keeps the first state of each block; determinize
+    # renumbers it breadth-first from the initial block in label order.
     rep = {}
-    for q in states:
+    for q in d.layers:
         rep.setdefault(block[q], q)
-    ids = {}
-    layers = {}
-    order = []
-
-    def intern(b):
-        if b not in ids:
-            ids[b] = f"q{len(ids)}"
-            layers[ids[b]] = d.layers[rep[b]]
-            order.append(b)
-        return ids[b]
-
-    intern(block[d.initial])
-    transitions = []
-    index = 0
-    while index < len(order):
-        b = order[index]
-        index += 1
-        q = rep[b]
-        for label in _legal_labels(d.sigma, d.n, d.layers[q]):
-            transitions.append((ids[b], label, intern(block[delta[(q, label)]])))
-    finals = sorted(
-        {ids[block[q]] for q in d.finals if block[q] in ids}, key=lambda s: int(s[1:])
-    )
-    return NominalAutomaton(d.sigma, d.n, layers, ids[block[d.initial]], finals, transitions)
+    layers = {q: d.layers[q] for q in rep.values()}
+    finals = [q for q in layers if q in d.finals]
+    transitions = [
+        (q, label, rep[block[delta[(q, label)]]])
+        for q in layers
+        for label in _legal_labels(d.sigma, d.n, layers[q])
+    ]
+    quotient = NominalAutomaton(d.sigma, d.n, layers, rep[block[d.initial]], finals, transitions)
+    return determinize(quotient)
 
 
 def canonical_form(m: NominalAutomaton):
@@ -510,11 +431,8 @@ def canonical_form(m: NominalAutomaton):
         raise NondeterministicInputError("canonical_form requires a deterministic automaton")
     number = {m.initial: 0}
     order = [m.initial]
-    index = 0
     rows = []
-    while index < len(order):
-        q = order[index]
-        index += 1
+    for q in order:  # grows while it is walked: breadth-first
         edges = []
         for label in _legal_labels(m.sigma, m.n, m.layers[q]):
             succ = m.successors(q, label)
@@ -524,7 +442,7 @@ def canonical_form(m: NominalAutomaton):
             if dst not in number:
                 number[dst] = len(number)
                 order.append(dst)
-            edges.append((_label_key(label), label, number[dst]))
+            edges.append((label, number[dst]))
         rows.append((m.layers[q], q in m.finals, tuple(edges)))
     return (tuple(sorted(m.sigma)), m.n, tuple(rows))
 
@@ -555,15 +473,16 @@ def _label_from_json(obj):
         return OPEN
     if obj == "close":
         return CLOSE
-    if isinstance(obj, dict) and set(obj) == {"idx"} and isinstance(obj["idx"], int):
+    if isinstance(obj, dict) and set(obj) == {"idx"} and type(obj["idx"]) is int:
         return obj["idx"]
-    if isinstance(obj, dict) and set(obj) == {"letter"} and isinstance(obj["letter"], str):
+    if isinstance(obj, dict) and set(obj) == {"letter"} and is_letter(obj["letter"]):
         return obj["letter"]
     raise SchemaError(f"bad transition label: {obj!r}")
 
 
-def to_json(m: NominalAutomaton) -> str:
-    doc = {
+def to_document(m: NominalAutomaton) -> dict:
+    """The JSON document of ``m``, built fresh; ``to_json`` dumps it."""
+    return {
         "sigma": sorted(m.sigma),
         "n": m.n,
         "states": [{"id": q, "layer": layer} for q, layer in m.layers.items()],
@@ -574,7 +493,10 @@ def to_json(m: NominalAutomaton) -> str:
             for src, label, dst in m.transitions
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def to_json(m: NominalAutomaton) -> str:
+    return json.dumps(to_document(m), indent=2) + "\n"
 
 
 def from_json(text: str) -> NominalAutomaton:
@@ -592,6 +514,8 @@ def from_json(text: str) -> NominalAutomaton:
         for entry in doc["states"]:
             if not isinstance(entry, dict) or set(entry) != {"id", "layer"}:
                 raise SchemaError(f"bad state entry: {entry!r}")
+            if entry["id"] in layers:
+                raise SchemaError(f"duplicate state id {entry['id']!r}")
             layers[entry["id"]] = entry["layer"]
         transitions = [
             (t["from"], _label_from_json(t["label"]), t["to"]) for t in doc["transitions"]

@@ -8,8 +8,8 @@ learned machine, 4 round cap exceeded.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import dataclass
 
 from . import automaton as am
 from . import regex as rx
@@ -17,16 +17,6 @@ from .learner import LearnConfig, RoundLimitError, run_nlstar
 from .oracle import EnumBound, brute_equivalence
 from .teacher import Teacher
 from .words import Alphabet, WordSyntaxError, is_legal, parse_word, serialize_word
-
-
-@dataclass
-class RunConfig:
-    target: str
-    strategy: str = "shortest"
-    emit: str = "json"
-    log: "str | None" = None
-    max_rounds: "int | None" = None
-    oracle_len: "int | None" = None
 
 
 def _target(text: str):
@@ -66,37 +56,29 @@ def cmd_member(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    config = RunConfig(
-        target=args.target,
-        strategy=args.strategy,
-        emit=args.emit,
-        log=args.log,
-        max_rounds=args.max_rounds,
-        oracle_len=args.oracle_len,
-    )
     try:
-        cne, sigma = _target(config.target)
+        cne, sigma = _target(args.target)
     except (rx.RegexSyntaxError, rx.FreeNameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    teacher = Teacher(am.determinize(am.compile(cne, sigma)), am.Strategy(config.strategy))
+    teacher = Teacher(am.determinize(am.compile(cne, sigma)), am.Strategy(args.strategy))
     try:
-        learned, stats = run_nlstar(teacher, LearnConfig(max_rounds=config.max_rounds))
+        learned, stats = run_nlstar(teacher, LearnConfig(max_rounds=args.max_rounds))
     except RoundLimitError as exc:
-        _write_log(config.log, teacher)
+        _write_log(args.log, teacher)
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    if config.emit == "dot":
+    if args.emit == "dot":
         sys.stdout.write(am.to_dot(learned))
-    elif config.emit == "table":
+    elif args.emit == "table":
         sys.stdout.write(stats.rounds[-1].table)
     else:
         sys.stdout.write(am.to_json(learned))
     sys.stderr.write(stats.to_json())
-    _write_log(config.log, teacher)
-    if config.oracle_len is not None:
+    _write_log(args.log, teacher)
+    if args.oracle_len is not None:
         witness = brute_equivalence(
-            learned, cne, EnumBound(config.oracle_len, rx.theta(cne) + 1)
+            learned, cne, EnumBound(args.oracle_len, rx.theta(cne) + 1)
         )
         if witness is not None:
             print(
@@ -111,8 +93,6 @@ def cmd_learn(args) -> int:
 def _write_log(path, teacher):
     if path is None:
         return
-    import json
-
     with open(path, "w") as handle:
         for record in teacher.log:
             handle.write(json.dumps(record) + "\n")

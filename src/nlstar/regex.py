@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import CLOSE, OPEN, _LETTER_RE
+from .words import CLOSE, OPEN, is_letter
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def parse_regex(text: str, sigma):
     """Parse ``text`` over the declared letter set ``sigma``."""
     sigma = frozenset(sigma)
     for letter in sigma:
-        if not _LETTER_RE.match(letter):
+        if not is_letter(letter):
             raise ValueError(f"invalid letter {letter!r}")
     return _Parser(_lex(text), sigma, len(text)).parse()
 

@@ -8,7 +8,6 @@ the configured strategy).  Every query is counted and logged.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 
 from . import automaton as am
@@ -112,7 +111,7 @@ class Teacher:
         self.log.append(
             {
                 "kind": "equiv",
-                "input": json.loads(am.to_json(hypothesis)),
+                "input": am.to_document(hypothesis),
                 "answer": "yes" if counterexample is None else serialize_word(counterexample),
                 "index": len(self.log) + 1,
             }

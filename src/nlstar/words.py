@@ -38,6 +38,11 @@ _LETTER_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 _DECORATED_OPEN_RE = re.compile(r"<<(\d+)\.\Z")
 
 
+def is_letter(token) -> bool:
+    """True iff ``token`` is a letter: a lowercase identifier."""
+    return isinstance(token, str) and _LETTER_RE.match(token) is not None
+
+
 class IllegalWordError(ValueError):
     """Raised when an operation requires a legal word and got an illegal one."""
 
@@ -60,7 +65,7 @@ class Alphabet:
         if self.n < 0:
             raise ValueError("register bound must be non-negative")
         for letter in self.sigma:
-            if not isinstance(letter, str) or not _LETTER_RE.match(letter):
+            if not is_letter(letter):
                 raise ValueError(f"invalid letter {letter!r}")
 
     def tokens(self) -> tuple:
@@ -95,8 +100,9 @@ class Summary(NamedTuple):
 
 
 def summarize(word, sigma=frozenset()) -> "Summary | None":
-    """Summary of ``word`` against the letters ``sigma``, or None when a
-    register reference below 1 makes the word illegal in every context.
+    """Summary of ``word`` against the letters ``sigma``, or None when the
+    word is illegal in every context: a token is neither a string nor an
+    int (a bool is neither), or a register reference is below 1.
 
     ``s + e`` is legal for depth ``n`` exactly when
     ``summarize(s).fits(n)`` and ``summarize(e).fits(n, summarize(s).final)``.
@@ -112,13 +118,16 @@ def summarize(word, sigma=frozenset()) -> "Summary | None":
             count -= 1
             if count < low:
                 low = count
-        elif isinstance(tok, int):
+        elif isinstance(tok, str):
+            if tok not in sigma:
+                in_sigma = False
+        elif isinstance(tok, int) and not isinstance(tok, bool):
             if tok < 1:
                 return None
             if tok - count > need:
                 need = tok - count
-        elif isinstance(tok, str) and tok not in sigma:
-            in_sigma = False
+        else:
+            return None
     return Summary(count, low, peak, need, in_sigma)
 
 
@@ -230,7 +239,7 @@ def parse_word(text: str) -> tuple:
                 raise WordSyntaxError("register references start at 1", pos)
             out.append(idx)
             i += 1
-        elif _LETTER_RE.match(piece):
+        elif is_letter(piece):
             out.append(piece)
             i += 1
         else:

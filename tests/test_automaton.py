@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -75,6 +76,14 @@ def test_layer_rules_enforced():
         NominalAutomaton(AB, 1, {"q0": 0, "q1": 1}, "q0", ["q1"], [("q0", OPEN, "q1")])
     with pytest.raises(InvalidAutomatonError):
         NominalAutomaton(AB, 1, {"q0": 0}, "q0", [], [("q0", 1, "q0")])
+    with pytest.raises(InvalidAutomatonError, match="sigma"):
+        NominalAutomaton({OPEN}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", OPEN, "q1")])
+    with pytest.raises(InvalidAutomatonError, match="n must"):
+        NominalAutomaton(AB, True, {"q0": 0}, "q0", [], [])
+    with pytest.raises(InvalidAutomatonError, match="layer"):
+        NominalAutomaton(AB, 1, {"q0": False}, "q0", [], [])
+    with pytest.raises(InvalidAutomatonError, match="label"):
+        NominalAutomaton(AB, 1, {"q0": 0}, "q0", [], [("q0", True, "q0")])
 
 
 def test_compile_intro_accepts_figure_path():
@@ -219,10 +228,17 @@ def test_equivalence_agrees_with_enumeration(left, right):
         for word in enumerate_legal(AB, EnumBound(5, bound)):
             assert _lenient_accepts(m1, word) == _lenient_accepts(m2, word)
     else:
-        assert _lenient_accepts(m1, witness) != _lenient_accepts(m2, witness)
-        if witness:  # no shorter difference exists
-            for word in enumerate_legal(AB, EnumBound(len(witness) - 1, bound)):
-                assert _lenient_accepts(m1, word) == _lenient_accepts(m2, word)
+        # The witness is the first difference in enumeration order:
+        # shortest, then lexicographic in the fixed token order.
+        assert _differences(m1, m2, EnumBound(len(witness), bound))[0] == witness
+
+
+def _differences(m1, m2, bound):
+    return [
+        word
+        for word in enumerate_legal(AB, bound)
+        if _lenient_accepts(m1, word) != _lenient_accepts(m2, word)
+    ]
 
 
 def _lenient_accepts(machine, word):
@@ -230,7 +246,7 @@ def _lenient_accepts(machine, word):
 
 
 @given(nominal, nominal, st.sampled_from([Strategy.MAX_FRESH, Strategy.MIN_FRESH]))
-@settings(deadline=None, max_examples=20)
+@settings(deadline=None, max_examples=60)
 def test_fresh_strategies_pick_depth_extremes(left, right, strategy):
     from nlstar.words import depth
 
@@ -239,16 +255,12 @@ def test_fresh_strategies_pick_depth_extremes(left, right, strategy):
     witness = am.equivalence(m1, m2, strategy)
     if witness is None or len(witness) > 6:
         return
-    bound = max(m1.n, m2.n)
-    same_length_differences = [
-        word
-        for word in enumerate_legal(AB, EnumBound(len(witness), bound))
-        if len(word) == len(witness)
-        and _lenient_accepts(m1, word) != _lenient_accepts(m2, word)
-    ]
-    depths = [depth(word) for word in same_length_differences]
+    differences = _differences(m1, m2, EnumBound(len(witness), max(m1.n, m2.n)))
+    shortest = [word for word in differences if len(word) == len(differences[0])]
+    depths = [depth(word) for word in shortest]
     want = max(depths) if strategy is Strategy.MAX_FRESH else min(depths)
-    assert depth(witness) == want
+    # Minimal length, extreme depth, then first in enumeration order.
+    assert witness == next(word for word in shortest if depth(word) == want)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +331,24 @@ def test_json_schema_errors():
         am.from_json(good.replace('"to": "q1"', '"to": "zz"'))
     with pytest.raises(SchemaError):
         am.from_json(good.replace('"label": "open"', '"label": "pop"'))
+
+    def corrupted(change):
+        doc = json.loads(good)
+        change(doc)
+        return json.dumps(doc)
+
+    cases = [
+        # a letter that is the OPEN token would pass the layer rule as OPEN
+        ("sigma", lambda doc: doc.update(sigma=["<<"], transitions=[])),
+        ("letter", lambda doc: doc["transitions"][0].update(label={"letter": "<<"})),
+        ("duplicate state id", lambda doc: doc["states"].append({"id": "q0", "layer": 1})),
+        ("n must", lambda doc: doc.update(n=True)),
+        ("layer", lambda doc: doc["states"][0].update(layer=False)),
+        ("idx", lambda doc: doc["transitions"][0].update(label={"idx": True})),
+    ]
+    for field, change in cases:
+        with pytest.raises(SchemaError, match=field):
+            am.from_json(corrupted(change))
 
 
 def test_json_empty_machine():

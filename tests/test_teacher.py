@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -51,6 +52,10 @@ def test_membership_counts_and_log():
 def test_membership_rejects_illegal_word():
     with pytest.raises(IllegalWordError):
         worked_teacher().membership((CLOSE,))
+    teacher = worked_teacher()
+    with pytest.raises(IllegalWordError):
+        teacher.membership((None,))
+    assert teacher.membership_queries == 0 and teacher.log == []
 
 
 def test_equivalence_yes_on_target_itself():
@@ -72,6 +77,7 @@ def test_equivalence_counterexample_for_first_hypothesis():
     )
     assert teacher.equivalence(hypothesis) == ("a", "b", OPEN, CLOSE)
     assert teacher.log[-1]["answer"] == "a b <<1. >>"
+    assert teacher.log[-1]["input"] == json.loads(am.to_json(hypothesis))
 
 
 def test_equivalence_alphabet_mismatch():

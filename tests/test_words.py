@@ -54,6 +54,13 @@ def test_is_legal_rejects_foreign_letters_and_deep_nesting():
     assert not is_legal((OPEN, OPEN), AB1)
 
 
+@pytest.mark.parametrize("token", [None, 1.5, True, False, b"a", ("a",)])
+def test_is_legal_rejects_tokens_that_are_not_word_tokens(token):
+    assert not is_legal((token,), Alphabet({"a"}, 0))
+    assert not is_legal((OPEN, token), Alphabet({"a"}, 1))
+    assert summarize((token,), frozenset({"a"})) is None
+
+
 def test_reg_open_binder():
     assert reg(("a", "b", OPEN)) == 1
 
