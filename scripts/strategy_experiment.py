@@ -11,7 +11,7 @@ import random
 
 from nlstar import automaton as am
 from nlstar.automaton import Strategy
-from nlstar.learner import LearnConfig, run_nlstar
+from nlstar.learner import run_nlstar
 from nlstar.regex import Binder, Concat, Empty, Epsilon, Letter, Name, Star, Sum, canonicalize, format_regex
 from nlstar.teacher import Teacher
 
@@ -67,7 +67,7 @@ def run_corpus(corpus):
         machines = {}
         for strategy in Strategy:
             teacher = Teacher(am.determinize(am.compile(cne, SIGMA)), strategy)
-            learned, stats = run_nlstar(teacher, LearnConfig(capture_tables=False))
+            learned, stats = run_nlstar(teacher)
             machines[strategy] = learned
             picked = [s.answer for s in stats.rounds if s.answer != "yes"]
             print(

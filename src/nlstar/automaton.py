@@ -63,10 +63,10 @@ class Strategy(Enum):
 _SHIFT = {OPEN: 1, CLOSE: -1}
 
 
-def _reachable(start, successors):
-    """Everything reachable from ``start`` through ``successors``."""
-    seen = {start}
-    stack = [start]
+def reachable_from(starts, successors):
+    """Everything reachable from ``starts`` through ``successors``, starts included."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
         for succ in successors(stack.pop()):
             if succ not in seen:
@@ -152,7 +152,7 @@ class NominalAutomaton:
         for state in states:
             if state not in self._closure_cache:
                 self._closure_cache[state] = frozenset(
-                    _reachable(state, lambda q: self._succ.get((q, EPS), ()))
+                    reachable_from([state], lambda q: self._succ.get((q, EPS), ()))
                 )
             out |= self._closure_cache[state]
         return frozenset(out)
@@ -240,7 +240,7 @@ def compile(cne, sigma=None) -> NominalAutomaton:
     forward = {}
     for src, _, dst in transitions:
         forward.setdefault(src, []).append(dst)
-    reachable = _reachable(start, lambda q: forward.get(q, ()))
+    reachable = reachable_from([start], lambda q: forward.get(q, ()))
     layers = {q: layer for q, layer in layers.items() if q in reachable}
     transitions = [t for t in transitions if t[0] in reachable and t[2] in reachable]
     finals = [end] if end in reachable else []
@@ -502,13 +502,17 @@ def to_json(m: NominalAutomaton) -> str:
 def from_json(text: str) -> NominalAutomaton:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or a number too long for int()
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     for field in ("sigma", "n", "states", "initial", "finals", "transitions"):
         if field not in doc:
             raise SchemaError(f"missing field {field!r}")
+        if field not in ("n", "initial") and not isinstance(doc[field], list):
+            raise SchemaError(f"field {field!r} must be a list")
     try:
         layers = {}
         for entry in doc["states"]:
@@ -517,15 +521,15 @@ def from_json(text: str) -> NominalAutomaton:
             if entry["id"] in layers:
                 raise SchemaError(f"duplicate state id {entry['id']!r}")
             layers[entry["id"]] = entry["layer"]
-        transitions = [
-            (t["from"], _label_from_json(t["label"]), t["to"]) for t in doc["transitions"]
-        ]
+        transitions = []
+        for t in doc["transitions"]:
+            if not isinstance(t, dict) or set(t) != {"from", "label", "to"}:
+                raise SchemaError(f"bad transition entry: {t!r}")
+            transitions.append((t["from"], _label_from_json(t["label"]), t["to"]))
         return NominalAutomaton(
             doc["sigma"], doc["n"], layers, doc["initial"], doc["finals"], transitions
         )
-    except SchemaError:
-        raise
-    except (InvalidAutomatonError, TypeError, KeyError, ValueError) as exc:
+    except (InvalidAutomatonError, TypeError, RecursionError) as exc:  # repr of a deep entry
         raise SchemaError(str(exc)) from exc
 
 

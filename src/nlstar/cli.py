@@ -10,29 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import automaton as am
 from . import regex as rx
 from .learner import LearnConfig, RoundLimitError, run_nlstar
 from .oracle import EnumBound, brute_equivalence
 from .teacher import Teacher
-from .words import Alphabet, WordSyntaxError, is_legal, parse_word, serialize_word
-
-
-def _target(text: str):
-    """Parse a closed expression, inferring single-char letters."""
-    sigma = rx.infer_sigma(text)
-    cne = rx.canonicalize(rx.parse_regex(text, sigma))
-    return cne, sigma
+from .words import IllegalWordError, parse_word, serialize_word
 
 
 def cmd_compile(args) -> int:
-    try:
-        cne, sigma = _target(args.target)
-    except (rx.RegexSyntaxError, rx.FreeNameError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    machine = am.compile(cne, sigma)
+    machine = am.compile(args.cne, args.sigma)
     if args.emit == "dot":
         sys.stdout.write(am.to_dot(machine))
     else:
@@ -41,29 +30,24 @@ def cmd_compile(args) -> int:
 
 
 def cmd_member(args) -> int:
+    teacher = Teacher(am.determinize(am.compile(args.cne, args.sigma)))
     try:
-        cne, sigma = _target(args.target)
-        word = parse_word(args.word)
-    except (rx.RegexSyntaxError, rx.FreeNameError, WordSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    teacher = Teacher(am.determinize(am.compile(cne, sigma)))
-    if not is_legal(word, Alphabet(teacher.sigma, teacher.theta_bound)):
+        print(teacher.membership(args.word).value)
+    except IllegalWordError:
         print("bottom")
-        return 0
-    print(teacher.membership(word).value)
     return 0
 
 
 def cmd_learn(args) -> int:
+    teacher = Teacher(am.determinize(am.compile(args.cne, args.sigma)), am.Strategy(args.strategy))
+    # Equivalence queries leave the table alone, so the grid drawn just
+    # before each one is the table of that round.
+    grids = []
+    config = LearnConfig(
+        max_rounds=args.max_rounds, on_hypothesis=lambda table, _: grids.append(table.grid())
+    )
     try:
-        cne, sigma = _target(args.target)
-    except (rx.RegexSyntaxError, rx.FreeNameError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    teacher = Teacher(am.determinize(am.compile(cne, sigma)), am.Strategy(args.strategy))
-    try:
-        learned, stats = run_nlstar(teacher, LearnConfig(max_rounds=args.max_rounds))
+        learned, stats = run_nlstar(teacher, config)
     except RoundLimitError as exc:
         _write_log(args.log, teacher)
         print(f"error: {exc}", file=sys.stderr)
@@ -71,14 +55,17 @@ def cmd_learn(args) -> int:
     if args.emit == "dot":
         sys.stdout.write(am.to_dot(learned))
     elif args.emit == "table":
-        sys.stdout.write(stats.rounds[-1].table)
+        sys.stdout.write(grids[-1])
     else:
         sys.stdout.write(am.to_json(learned))
-    sys.stderr.write(stats.to_json())
+    document = asdict(stats)
+    for snapshot, grid in zip(document["rounds"], grids):
+        snapshot["table"] = grid
+    sys.stderr.write(json.dumps(document, indent=2) + "\n")
     _write_log(args.log, teacher)
     if args.oracle_len is not None:
         witness = brute_equivalence(
-            learned, cne, EnumBound(args.oracle_len, rx.theta(cne) + 1)
+            learned, args.cne, EnumBound(args.oracle_len, rx.theta(args.cne) + 1)
         )
         if witness is not None:
             print(
@@ -91,10 +78,17 @@ def cmd_learn(args) -> int:
 
 
 def _write_log(path, teacher):
+    """Write the teacher's log as JSON lines, the query text format."""
     if path is None:
         return
     with open(path, "w") as handle:
-        for record in teacher.log:
+        for index, (kind, query, answer) in enumerate(teacher.log, 1):
+            if kind == "member":
+                query, answer = serialize_word(query), answer.value
+            else:
+                query = am.to_document(query)
+                answer = "yes" if answer is None else serialize_word(answer)
+            record = {"kind": kind, "input": query, "answer": answer, "index": index}
             handle.write(json.dumps(record) + "\n")
 
 
@@ -104,19 +98,21 @@ def main(argv=None) -> int:
         description="Learn deterministic automata over alphabets with name binders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command takes a target, which main parses before dispatching.
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--target", required=True, help="closed expression text")
 
-    p_compile = sub.add_parser("compile", help="compile an expression to an automaton")
-    p_compile.add_argument("--target", required=True, help="closed expression text")
+    p_compile = sub.add_parser(
+        "compile", parents=[target], help="compile an expression to an automaton"
+    )
     p_compile.add_argument("--emit", choices=["json", "dot"], default="json")
     p_compile.set_defaults(func=cmd_compile)
 
-    p_member = sub.add_parser("member", help="answer one membership query")
-    p_member.add_argument("--target", required=True)
+    p_member = sub.add_parser("member", parents=[target], help="answer one membership query")
     p_member.add_argument("--word", required=True, help="word text; prints bottom if illegal")
     p_member.set_defaults(func=cmd_member)
 
-    p_learn = sub.add_parser("learn", help="learn the target language")
-    p_learn.add_argument("--target", required=True)
+    p_learn = sub.add_parser("learn", parents=[target], help="learn the target language")
     p_learn.add_argument(
         "--strategy", choices=["shortest", "max-fresh", "min-fresh"], default="shortest"
     )
@@ -132,6 +128,15 @@ def main(argv=None) -> int:
     p_learn.set_defaults(func=cmd_learn)
 
     args = parser.parse_args(argv)
+    try:
+        # A closed expression over the single-char letters it names.
+        args.sigma = rx.infer_sigma(args.target)
+        args.cne = rx.canonicalize(rx.parse_regex(args.target, args.sigma))
+        if args.command == "member":
+            args.word = parse_word(args.word)
+    except ValueError as exc:  # the typed syntax and free-name errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -23,8 +23,7 @@ does not grow after one, ends the run with ``CounterexampleError``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import automaton as am
 from .teacher import Answer, Teacher
@@ -51,7 +50,6 @@ class RoundLimitError(RuntimeError):
 @dataclass
 class LearnConfig:
     max_rounds: "int | None" = None
-    capture_tables: bool = True
     # callback(table, hypothesis), invoked before each equivalence query;
     # the table is live and keeps mutating, so inspect it inside the call.
     on_hypothesis: "object | None" = None
@@ -65,7 +63,6 @@ class RoundSnapshot:
     n: int
     hypothesis_states: int
     answer: str
-    table: "str | None" = None
 
 
 @dataclass
@@ -78,9 +75,6 @@ class RunStats:
     cells: int
     max_counterexample_len: int
     rounds: "list[RoundSnapshot]" = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 class ObservationTable:
@@ -289,6 +283,7 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
     config = config or LearnConfig()
     table = init_table(teacher)
     snapshots = []
+    longest = 0  # length of the longest counterexample so far
 
     def stats():
         return RunStats(
@@ -298,10 +293,7 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
             e_size=len(table.e_words),
             n=table.n,
             cells=len(table.labels()) * len(table.e_words),
-            max_counterexample_len=max(
-                (len(snap.answer.split()) for snap in snapshots if snap.answer != "yes"),
-                default=0,
-            ),
+            max_counterexample_len=longest,
             rounds=snapshots,
         )
 
@@ -332,10 +324,10 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
             n=table.n,
             hypothesis_states=am.state_count(hypothesis),
             answer="yes" if counterexample is None else serialize_word(counterexample),
-            table=table.grid() if config.capture_tables else None,
         ))
         if counterexample is None:
             return hypothesis, stats()
+        longest = max(longest, len(counterexample))
         table.handle_counterexample(counterexample, teacher)
         # The cell (counterexample, eps) is filled by now, so this asks no query.
         claimed = depth(counterexample) <= hypothesis.n and am.accepts(hypothesis, counterexample)

@@ -15,7 +15,9 @@ Text grammar (precedence: star > juxtaposition > '+')::
            | expr expr | expr '*' | '<' name '.' expr '>' | '(' expr ')'
 
 Adjacent letters may be written without spaces when they split uniquely
-into declared alphabet letters ("ab" over sigma={a,b}).
+into declared alphabet letters ("ab" over sigma={a,b}).  Numbers are one
+to nine ASCII digits.  Brackets and the parsed tree nest at most
+``MAX_NESTING`` levels deep, so the recursive walks fit Python's stack.
 """
 
 from __future__ import annotations
@@ -87,27 +89,33 @@ class NotCanonicalError(ValueError):
 # lexer / parser
 
 _SYMBOLS = "<>.+*()"
+MAX_NESTING = 100
 
 
 def _lex(text: str):
     toks = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
         elif ch in _SYMBOLS:
+            depth += (ch in "(<") - (ch in ")>")
+            if depth > MAX_NESTING:
+                raise RegexSyntaxError(f"brackets nest deeper than {MAX_NESTING} levels", i)
             toks.append(("sym", ch, i))
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > 9:
+                raise RegexSyntaxError("numbers have at most nine digits", i)
             toks.append(("int", int(text[i:j]), i))
             i = j
         elif "a" <= ch <= "z":
             j = i
-            while j < len(text) and (text[j].isdigit() or "a" <= text[j] <= "z"):
+            while j < len(text) and ("0" <= text[j] <= "9" or "a" <= text[j] <= "z"):
                 j += 1
             toks.append(("ident", text[i:j], i))
             i = j
@@ -117,15 +125,22 @@ def _lex(text: str):
 
 
 def _split_letters(run: str, sigma: frozenset):
-    """Split an identifier run into declared letters; None if impossible."""
-    if run == "":
-        return []
-    for cut in range(len(run), 0, -1):
-        if run[:cut] in sigma:
-            rest = _split_letters(run[cut:], sigma)
-            if rest is not None:
-                return [run[:cut]] + rest
-    return None
+    """Split an identifier run into declared letters, each the longest
+    that leaves a splittable rest; None if impossible."""
+    if run in sigma:
+        return [run]
+    cuts = {len(run): None}  # start of a splittable rest -> end of its first letter
+    for i in range(len(run) - 1, -1, -1):
+        ends = [i + len(x) for x in sigma if run.startswith(x, i) and i + len(x) in cuts]
+        if ends:
+            cuts[i] = max(ends)
+    if 0 not in cuts:
+        return None
+    letters, i = [], 0
+    while i < len(run):
+        letters.append(run[i:cuts[i]])
+        i = cuts[i]
+    return letters
 
 
 class _Parser:
@@ -149,27 +164,36 @@ class _Parser:
             raise RegexSyntaxError(f"expected {symbol!r}", at)
 
     def parse(self):
-        node = self.sum()
+        node, _ = self.sum()
         kind, value, at = self.peek()
         if kind is not None:
             raise RegexSyntaxError(f"unexpected {value!r}", at)
         return node
 
+    def grown(self, node, height, at):
+        """Rules return (node, height of its tree); too tall a tree is an error."""
+        if height > MAX_NESTING:
+            raise RegexSyntaxError(f"expression tree is deeper than {MAX_NESTING} levels", at)
+        return node, height
+
     def sum(self):
-        node = self.cat()
+        node, height = self.cat()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, at = self.peek()
             if kind == "sym" and value == "+":
                 self.take()
-                node = Sum(node, self.cat())
+                right, right_height = self.cat()
+                node, height = self.grown(Sum(node, right), max(height, right_height) + 1, at)
             else:
-                return node
+                return node, height
 
     def cat(self):
-        node = self.postfix()
+        node, height = self.postfix()
         while self._starts_atom():
-            node = Concat(node, self.postfix())
-        return node
+            at = self.peek()[2]
+            right, right_height = self.postfix()
+            node, height = self.grown(Concat(node, right), max(height, right_height) + 1, at)
+        return node, height
 
     def _starts_atom(self):
         kind, value, _ = self.peek()
@@ -178,33 +202,33 @@ class _Parser:
         return kind == "sym" and value in ("<", "(")
 
     def postfix(self):
-        node = self.atom()
+        node, height = self.atom()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, at = self.peek()
             if kind == "sym" and value == "*":
                 self.take()
-                node = Star(node)
+                node, height = self.grown(Star(node), height + 1, at)
             else:
-                return node
+                return node, height
 
     def atom(self):
         kind, value, at = self.take()
         if kind == "int":
-            return Empty() if value == 0 else Name(value)
+            return (Empty() if value == 0 else Name(value)), 1
         if kind == "ident":
             if value == "eps":
-                return Epsilon()
+                return Epsilon(), 1
             split = _split_letters(value, self.sigma)
             if split is None:
-                return Name(value)
+                return Name(value), 1
             node = Letter(split[0])
             for sym in split[1:]:
                 node = Concat(node, Letter(sym))
-            return node
+            return self.grown(node, len(split), at)
         if kind == "sym" and value == "(":
-            node = self.sum()
+            node, height = self.sum()
             self.expect(")")
-            return node
+            return node, height
         if kind == "sym" and value == "<":
             hkind, head, hat = self.take()
             if hkind == "int":
@@ -216,9 +240,9 @@ class _Parser:
             else:
                 raise RegexSyntaxError("expected a binder name", hat)
             self.expect(".")
-            body = self.sum()
+            body, height = self.sum()
             self.expect(">")
-            return Binder(head, body)
+            return self.grown(Binder(head, body), height + 1, at)
         raise RegexSyntaxError(f"unexpected {value!r}", at)
 
 
@@ -286,9 +310,7 @@ def letters_of(node) -> frozenset:
         return frozenset([node.symbol])
     if isinstance(node, (Sum, Concat)):
         return letters_of(node.left) | letters_of(node.right)
-    if isinstance(node, (Star,)):
-        return letters_of(node.body)
-    if isinstance(node, Binder):
+    if isinstance(node, (Star, Binder)):
         return letters_of(node.body)
     return frozenset()
 

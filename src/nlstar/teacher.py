@@ -3,7 +3,9 @@
 A teacher wraps a deterministic target machine and answers two kinds of
 queries: membership (three-valued: in the language / a strict prefix of
 a member / neither) and equivalence (yes, or a counterexample picked by
-the configured strategy).  Every query is counted and logged.
+the configured strategy).  Every query is counted and logged as data, a
+``(kind, query, answer)`` triple: ``("member", word, Answer)`` or
+``("equiv", hypothesis, counterexample or None)``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ class Teacher:
         self.log = []
         self._alphabet = Alphabet(target.sigma, target.n)
         self._delta = {(src, label): dst for src, label, dst in target.transitions}
-        self._live = self._co_reachable()
+        incoming = {}
+        for src, _, dst in target.transitions:
+            incoming.setdefault(dst, []).append(src)
+        # States from which a final state can be reached.
+        self._live = am.reachable_from(target.finals, lambda q: incoming.get(q, ()))
 
     @classmethod
     def from_regex(cls, text: str, sigma, strategy=am.Strategy.SHORTEST) -> "Teacher":
@@ -47,27 +53,9 @@ class Teacher:
         cne = rx.canonicalize(rx.parse_regex(text, sigma))
         return cls(am.determinize(am.compile(cne, sigma)), strategy)
 
-    def _co_reachable(self):
-        incoming = {}
-        for src, _, dst in self.target.transitions:
-            incoming.setdefault(dst, set()).add(src)
-        live = set(self.target.finals)
-        stack = list(self.target.finals)
-        while stack:
-            q = stack.pop()
-            for p in incoming.get(q, ()):
-                if p not in live:
-                    live.add(p)
-                    stack.append(p)
-        return live
-
     @property
     def sigma(self):
         return self.target.sigma
-
-    @property
-    def theta_bound(self) -> int:
-        return self.target.n
 
     def membership(self, word) -> Answer:
         """ONE if the word is in the language, P if it extends to a member,
@@ -89,14 +77,7 @@ class Teacher:
         else:
             answer = Answer.ZERO
         self.membership_queries += 1
-        self.log.append(
-            {
-                "kind": "member",
-                "input": serialize_word(word),
-                "answer": answer.value,
-                "index": len(self.log) + 1,
-            }
-        )
+        self.log.append(("member", word, answer))
         return answer
 
     def equivalence(self, hypothesis: am.NominalAutomaton):
@@ -108,12 +89,5 @@ class Teacher:
             )
         counterexample = am.equivalence(self.target, hypothesis, self.strategy)
         self.equivalence_queries += 1
-        self.log.append(
-            {
-                "kind": "equiv",
-                "input": am.to_document(hypothesis),
-                "answer": "yes" if counterexample is None else serialize_word(counterexample),
-                "index": len(self.log) + 1,
-            }
-        )
+        self.log.append(("equiv", hypothesis, counterexample))
         return counterexample

@@ -35,7 +35,8 @@ Word = tuple[Token, ...]
 EPSILON: Word = ()
 
 _LETTER_RE = re.compile(r"[a-z][a-z0-9]*\Z")
-_DECORATED_OPEN_RE = re.compile(r"<<(\d+)\.\Z")
+_NUMBER_RE = re.compile(r"[0-9]{1,9}\Z")
+_DECORATED_OPEN_RE = re.compile(r"<<([0-9]{1,9})\.\Z")
 
 
 def is_letter(token) -> bool:
@@ -197,10 +198,11 @@ def serialize_word(word) -> str:
 def parse_word(text: str) -> tuple:
     """Parse the whitespace-separated word grammar.
 
-    letter ::= [a-z][a-z0-9]*, "<<" opens, ">>" closes, integers are
-    register references.  An open may carry its level as documentation
-    ("<<1." or "<< 1 ."); the stated level must match the actual nesting.
-    Legality is not enforced here: ">>" parses fine and is rejected later.
+    letter ::= [a-z][a-z0-9]*, "<<" opens, ">>" closes, numbers of one
+    to nine ASCII digits are register references.  An open may carry its
+    level as documentation ("<<1." or "<< 1 ."); the stated level must
+    match the actual nesting.  Legality is not enforced here: ">>" parses
+    fine and is rejected later.
     """
     pieces = [(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]
     out = []
@@ -216,7 +218,7 @@ def parse_word(text: str) -> tuple:
                 i += 1
             elif (
                 i + 2 < len(pieces)
-                and pieces[i + 1][0].isdigit()
+                and _NUMBER_RE.match(pieces[i + 1][0])
                 and pieces[i + 2][0] == "."
             ):
                 level = int(pieces[i + 1][0])
@@ -233,7 +235,7 @@ def parse_word(text: str) -> tuple:
             count -= 1
             out.append(CLOSE)
             i += 1
-        elif piece.isdigit():
+        elif _NUMBER_RE.match(piece):
             idx = int(piece)
             if idx < 1:
                 raise WordSyntaxError("register references start at 1", pos)

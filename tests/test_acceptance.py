@@ -20,7 +20,7 @@ from nlstar.learner import LearnConfig, run_nlstar
 from nlstar.oracle import EnumBound, brute_equivalence, brute_membership, enumerate_legal
 from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
-from nlstar.words import CLOSE, OPEN, Alphabet, concat, is_legal, parse_word, reg, serialize_word
+from nlstar.words import CLOSE, OPEN, Alphabet, concat, is_legal, parse_word, reg
 
 from .corpus import SIGMA, binder_free_targets, corpus_targets
 
@@ -48,11 +48,7 @@ def table_agreement_violations(table, hypothesis, teacher):
     stored row must also equal the row recomputed with
     is_legal/concat and the teacher's logged answers."""
     violations = 0
-    answers = {
-        record["input"]: Answer(record["answer"])
-        for record in teacher.log
-        if record["kind"] == "member"
-    }
+    answers = {word: answer for kind, word, answer in teacher.log if kind == "member"}
     delta = {(src, label): dst for src, label, dst in hypothesis.transitions}
     for label in table.labels():
         if not is_legal(label, table.alphabet):
@@ -68,7 +64,7 @@ def table_agreement_violations(table, hypothesis, teacher):
         rebuilt = []
         for suffix in table.e_words:
             word = concat(label, suffix, table.alphabet)
-            rebuilt.append(Answer.BOTTOM if word is None else answers[serialize_word(word)])
+            rebuilt.append(Answer.BOTTOM if word is None else answers[word])
             if word is None:
                 continue
             accepted = am.accepts(hypothesis, word)
@@ -88,7 +84,7 @@ def learn_with_audit(target_machine, strategy=Strategy.SHORTEST):
         audit["hypotheses"] += 1
 
     learned, stats = run_nlstar(
-        teacher, LearnConfig(max_rounds=200, capture_tables=False, on_hypothesis=on_hypothesis)
+        teacher, LearnConfig(max_rounds=200, on_hypothesis=on_hypothesis)
     )
     return teacher, learned, stats, audit
 
@@ -200,9 +196,8 @@ def test_criterion_5_classical_degeneration():
             teacher, learned, stats, _ = learn_with_audit(target_machine)
             assert am.isomorphic(learned, minimal)
             assert stats.n == 0
-            for record in teacher.log:
-                if record["kind"] == "member":
-                    word = parse_word(record["input"])
+            for kind, word, _ in teacher.log:
+                if kind == "member":
                     assert all(
                         isinstance(tok, str) and tok not in (OPEN, CLOSE) for tok in word
                     )

@@ -345,10 +345,20 @@ def test_json_schema_errors():
         ("n must", lambda doc: doc.update(n=True)),
         ("layer", lambda doc: doc["states"][0].update(layer=False)),
         ("idx", lambda doc: doc["transitions"][0].update(label={"idx": True})),
+        # a string or an object would be iterated as if it were a list
+        ("'sigma' must be a list", lambda doc: doc.update(sigma="ab")),
+        ("'finals' must be a list", lambda doc: doc.update(finals={"q0": 1})),
+        ("'finals' must be a list", lambda doc: doc.update(finals="q0")),
+        ("'states' must be a list", lambda doc: doc.update(states={})),
+        ("'transitions' must be a list", lambda doc: doc.update(transitions="")),
+        ("transition entry", lambda doc: doc["transitions"][0].update(note="ignored")),
+        ("transition entry", lambda doc: doc["transitions"].append(["q0", "open", "q1"])),
     ]
     for field, change in cases:
         with pytest.raises(SchemaError, match=field):
             am.from_json(corrupted(change))
+    with pytest.raises(SchemaError, match="nests too deeply"):
+        am.from_json("[" * 100000 + "]" * 100000)
 
 
 def test_json_empty_machine():

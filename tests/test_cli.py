@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,15 @@ def test_member_illegal_word_prints_bottom(capsys):
 def test_member_parse_error(capsys):
     assert main(["member", "--target", "ab<n.n*>", "--word", "a ? b"]) == 2
     assert "error" in capsys.readouterr().err
+    # ARABIC-INDIC DIGIT ONE is no register reference
+    assert main(["member", "--target", "ab<n.n*>", "--word", "a b <<1. \u0661 >>"]) == 2
+    assert capsys.readouterr().err.startswith("error: unrecognised token")
+
+
+@pytest.mark.parametrize("target", ["(" * 3000 + "a" + ")" * 3000, "a" * 3000, "a" + "*" * 3000])
+def test_compile_rejects_too_deep_expression(target, capsys):
+    assert main(["compile", "--target", target]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_learn_worked_example(tmp_path, capsys):
@@ -131,3 +142,31 @@ def test_two_processes_produce_identical_bytes(tmp_path):
         return proc.stdout, proc.stderr, log.read_bytes()
 
     assert run("one") == run("two")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(cli.__file__).parents[1]
+GOLDEN_RUNS = {
+    "learn_json": (["--emit", "json"], 0),
+    "learn_table": (["--emit", "table"], 0),
+    "learn_round_cap": (["--max-rounds", "1"], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_learn_bytes_match_golden(name, tmp_path):
+    # golden/ holds the recorded stdout, stderr and --log bytes of these
+    # runs; any change to the output text must re-record them on purpose.
+    extra, code = GOLDEN_RUNS[name]
+    log = tmp_path / "queries.log"
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlstar.cli", "learn", "--target", "ab<n.n*>",
+         "--log", str(log), *extra],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert proc.stderr == (GOLDEN / f"{name}.stderr").read_bytes()
+    assert log.read_bytes() == (GOLDEN / f"{name}.log").read_bytes()

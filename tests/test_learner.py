@@ -18,7 +18,7 @@ from nlstar.learner import (
 from nlstar.oracle import EnumBound, brute_equivalence
 from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
-from nlstar.words import CLOSE, OPEN, parse_word
+from nlstar.words import CLOSE, OPEN, Alphabet, is_legal
 
 from .corpus import random_nominal
 
@@ -195,13 +195,10 @@ def test_run_worked_example():
 
 def test_counterexample_classified_by_next_hypothesis():
     teacher = worked_teacher()
-    hypotheses = []
-    run_nlstar(
-        teacher, LearnConfig(on_hypothesis=lambda t, h: hypotheses.append(h))
-    )
-    _, stats = run_nlstar(worked_teacher())
-    answers = [parse_word(s.answer) for s in stats.rounds if s.answer != "yes"]
-    for counterexample, hypothesis in zip(answers, hypotheses[1:]):
+    run_nlstar(teacher)
+    rounds = [(hypothesis, answer) for kind, hypothesis, answer in teacher.log if kind == "equiv"]
+    assert len(rounds) == 2
+    for (_, counterexample), (hypothesis, _) in zip(rounds, rounds[1:]):
         want = am.accepts(teacher.target, counterexample)
         assert am.accepts(hypothesis, counterexample) == want
 
@@ -276,14 +273,12 @@ def test_tables_stay_prefix_and_suffix_closed():
 
 def test_learner_only_queries_legal_words():
     teacher = worked_teacher()
-    run_nlstar(teacher)
-    alphabet = teacher.target.sigma
-    for record in teacher.log:
-        if record["kind"] == "member":
-            word = parse_word(record["input"])
-            # parse_word round-trips the logged text; the teacher would have
-            # raised on an illegal query, so reaching here is the assertion.
-            assert all(tok in alphabet or not isinstance(tok, str) or tok in (OPEN, CLOSE) for tok in word)
+    _, stats = run_nlstar(teacher)
+    # Legal at the learner's own final bound, not only at the target's.
+    alphabet = Alphabet(teacher.sigma, stats.n)
+    words = [word for kind, word, _ in teacher.log if kind == "member"]
+    assert len(words) == stats.membership_queries
+    assert all(is_legal(word, alphabet) for word in words)
 
 
 def test_grid_matches_initial_table_layout():
