@@ -8,44 +8,28 @@ language stays fixed.
 """
 
 import random
+import sys
+from pathlib import Path
 
-from nlstar import automaton as am
-from nlstar.automaton import Strategy
-from nlstar.learner import run_nlstar
-from nlstar.regex import Binder, Concat, Empty, Epsilon, Letter, Name, Star, Sum, canonicalize, format_regex
-from nlstar.teacher import Teacher
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-SIGMA = ("a", "b")
+from nlstar import automaton as am  # noqa: E402
+from nlstar.automaton import Strategy  # noqa: E402
+from nlstar.learner import run_nlstar  # noqa: E402
+from nlstar.regex import canonicalize, format_regex  # noqa: E402
+from nlstar.teacher import Teacher  # noqa: E402
+from tests.corpus import SIGMA, random_nominal  # noqa: E402
+
 SEED = 7
 COUNT = 12
-
-
-def random_closed(rng, size, names=(), depth_left=2):
-    if size <= 1:
-        pool = [Epsilon()] + [Letter(s) for s in SIGMA] * 2
-        pool += [Name(nm) for nm in names] * 3
-        pool.append(Empty())
-        return rng.choice(pool)
-    ops = ["sum", "concat", "concat", "star"]
-    if depth_left > 0:
-        ops += ["binder", "binder"]
-    op = rng.choice(ops)
-    if op == "star":
-        return Star(random_closed(rng, size - 1, names, depth_left))
-    if op == "binder":
-        name = f"x{len(names)}"
-        return Binder(name, random_closed(rng, size - 1, names + (name,), depth_left - 1))
-    cut = rng.randint(1, size - 2) if size > 2 else 1
-    left = random_closed(rng, cut, names, depth_left)
-    right = random_closed(rng, size - 1 - cut, names, depth_left)
-    return (Sum if op == "sum" else Concat)(left, right)
 
 
 def targets():
     rng = random.Random(SEED)
     out = []
     while len(out) < COUNT:
-        cne = canonicalize(random_closed(rng, size=rng.randint(4, 8)))
+        cne = canonicalize(random_nominal(rng, size=rng.randint(4, 8)))
         machine = am.minimize(am.determinize(am.compile(cne, SIGMA)))
         if am.state_count(machine) >= 3:
             out.append(cne)

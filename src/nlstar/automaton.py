@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from functools import lru_cache
 
 from . import regex as rx
 from .words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, is_letter
@@ -62,6 +63,9 @@ class Strategy(Enum):
 # How far each label moves the layer; every label not listed keeps it.
 _SHIFT = {OPEN: 1, CLOSE: -1}
 
+# Machines with equal letters and bound share one Alphabet and its token lists.
+_alphabet = lru_cache(Alphabet)
+
 
 def reachable_from(starts, successors):
     """Everything reachable from ``starts`` through ``successors``, starts included."""
@@ -80,7 +84,8 @@ class NominalAutomaton:
 
     ``layers`` maps state ids (strings) to their layer; ``transitions``
     is a sequence of (src, label, dst) triples with labels drawn from
-    sigma, ints, OPEN, CLOSE or EPS.
+    sigma, ints, OPEN, CLOSE or EPS.  ``alphabet`` is the token alphabet
+    of sigma and n.
     """
 
     def __init__(self, sigma, n, layers, initial, finals, transitions):
@@ -91,6 +96,7 @@ class NominalAutomaton:
         self.finals = frozenset(finals)
         self.transitions = tuple(tuple(t) for t in transitions)
         self._validate()
+        self.alphabet = _alphabet(self.sigma, self.n)
         self._succ = {}
         for src, label, dst in self.transitions:
             self._succ.setdefault((src, label), []).append(dst)
@@ -134,9 +140,6 @@ class NominalAutomaton:
     def states(self):
         return tuple(self.layers)
 
-    def successors(self, state, label):
-        return tuple(self._succ.get((state, label), ()))
-
     @property
     def has_eps(self):
         return any(isinstance(label, _EpsLabel) for _, label, _ in self.transitions)
@@ -157,6 +160,13 @@ class NominalAutomaton:
             out |= self._closure_cache[state]
         return frozenset(out)
 
+    def step(self, states, label):
+        """The eps-closed set of states one ``label`` move leads to from ``states``."""
+        stepped = set()
+        for q in states:
+            stepped.update(self._succ.get((q, label), ()))
+        return self.eps_closure(stepped)
+
     def __repr__(self):
         return (
             f"NominalAutomaton(states={len(self.layers)}, n={self.n}, "
@@ -166,17 +176,6 @@ class NominalAutomaton:
 
 def state_count(m: NominalAutomaton) -> int:
     return len(m.layers)
-
-
-def _legal_labels(sigma, n, layer):
-    """Labels a legal word may continue with from the given layer."""
-    out = list(sorted(sigma))
-    out.extend(range(1, layer + 1))
-    if layer < n:
-        out.append(OPEN)
-    if layer > 0:
-        out.append(CLOSE)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +252,11 @@ def compile(cne, sigma=None) -> NominalAutomaton:
 def accepts(m: NominalAutomaton, word) -> bool:
     """Breadth-first closure over configurations; the word must be legal
     for the machine's alphabet."""
-    if not is_legal(word, Alphabet(m.sigma, m.n)):
+    if not is_legal(word, m.alphabet):
         raise IllegalWordError(f"word is not legal for this automaton: {word!r}")
     current = m.eps_closure([m.initial])
     for tok in word:
-        stepped = set()
-        for q in current:
-            stepped.update(m.successors(q, tok))
-        current = m.eps_closure(stepped)
+        current = m.step(current, tok)
         if not current:
             return False
     return bool(current & m.finals)
@@ -282,6 +278,7 @@ def determinize(m: NominalAutomaton, n=None) -> NominalAutomaton:
     n = m.n if n is None else int(n)
     if n < m.n:
         raise ValueError(f"cannot shrink layer bound {m.n} to {n}")
+    alphabet = _alphabet(m.sigma, n)
 
     start = m.eps_closure([m.initial])
     if {m.layers[q] for q in start} != {0}:
@@ -293,12 +290,9 @@ def determinize(m: NominalAutomaton, n=None) -> NominalAutomaton:
     transitions = []
     for key in order:  # grows while it is walked: breadth-first
         subset, layer = key
-        for label in _legal_labels(m.sigma, n, layer):
+        for label in alphabet.tokens_at[layer]:
             nlayer = layer + _SHIFT.get(label, 0)
-            stepped = set()
-            for q in subset:
-                stepped.update(m.successors(q, label))
-            closed = m.eps_closure(stepped)
+            closed = m.step(subset, label)
             if closed and {m.layers[q] for q in closed} != {nlayer}:
                 raise InvalidAutomatonError("subset mixes layers")
             dst = (closed, nlayer)
@@ -321,8 +315,8 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     The witness is picked deterministically: minimum length first, then
     (for MAX_FRESH / MIN_FRESH) maximal or minimal binder depth among the
     minimum-length witnesses, then lexicographic in the fixed label
-    order.  Works on arbitrary inputs; both sides are determinized over
-    the larger layer bound first.
+    order.  Works on arbitrary inputs, over the labels legal at the
+    larger layer bound.
 
     The product is searched breadth-first, expanding edges in label
     order, and each node keeps the edge it was first reached by.  A word
@@ -337,24 +331,21 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
         raise AlphabetMismatchError(
             f"letter alphabets differ: {sorted(m1.sigma)} vs {sorted(m2.sigma)}"
         )
-    n = max(m1.n, m2.n)
-    d1 = determinize(m1, n)
-    d2 = determinize(m2, n)
-    delta1 = {(src, label): dst for src, label, dst in d1.transitions}
-    delta2 = {(src, label): dst for src, label, dst in d2.transitions}
+    alphabet = _alphabet(m1.sigma, max(m1.n, m2.n))
 
-    # Nodes are (state1, state2, max-layer-so-far); the last is the
-    # binder depth of the node's words.
-    start = (d1.initial, d2.initial, 0)
+    # Nodes are (states1, states2, layer, max-layer-so-far): the state
+    # sets each machine reaches, whose empty sets are told apart by the
+    # layer, and the binder depth of the node's words.
+    start = (m1.eps_closure([m1.initial]), m2.eps_closure([m2.initial]), 0, 0)
     parent = {start: None}
     frontier = [start]
     while frontier:
-        hits = [node for node in frontier if (node[0] in d1.finals) != (node[1] in d2.finals)]
+        hits = [node for node in frontier if bool(node[0] & m1.finals) != bool(node[1] & m2.finals)]
         if hits:
             if strategy is not Strategy.SHORTEST:
                 extreme = max if strategy is Strategy.MAX_FRESH else min
-                pick = extreme(peak for _, _, peak in hits)
-                hits = [node for node in hits if node[2] == pick]
+                pick = extreme(node[3] for node in hits)
+                hits = [node for node in hits if node[3] == pick]
             word = []
             node = hits[0]
             while parent[node] is not None:
@@ -363,10 +354,10 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
             return tuple(reversed(word))
         next_frontier = []
         for node in frontier:
-            s1, s2, peak = node
-            for label in _legal_labels(m1.sigma, n, d1.layers[s1]):
-                t1 = delta1[(s1, label)]
-                succ = (t1, delta2[(s2, label)], max(peak, d1.layers[t1]))
+            states1, states2, layer, peak = node
+            for label in alphabet.tokens_at[layer]:
+                nlayer = layer + _SHIFT.get(label, 0)
+                succ = (m1.step(states1, label), m2.step(states2, label), nlayer, max(peak, nlayer))
                 if succ not in parent:
                     parent[succ] = (node, label)
                     next_frontier.append(succ)
@@ -395,7 +386,7 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
         refined = {
             q: (
                 block[q],
-                tuple(block[delta[(q, label)]] for label in _legal_labels(d.sigma, d.n, d.layers[q])),
+                tuple(block[delta[(q, label)]] for label in d.alphabet.tokens_at[d.layers[q]]),
             )
             for q in d.layers
         }
@@ -415,7 +406,7 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     transitions = [
         (q, label, rep[block[delta[(q, label)]]])
         for q in layers
-        for label in _legal_labels(d.sigma, d.n, layers[q])
+        for label in d.alphabet.tokens_at[layers[q]]
     ]
     quotient = NominalAutomaton(d.sigma, d.n, layers, rep[block[d.initial]], finals, transitions)
     return determinize(quotient)
@@ -434,11 +425,11 @@ def canonical_form(m: NominalAutomaton):
     rows = []
     for q in order:  # grows while it is walked: breadth-first
         edges = []
-        for label in _legal_labels(m.sigma, m.n, m.layers[q]):
-            succ = m.successors(q, label)
+        for label in m.alphabet.tokens_at[m.layers[q]]:
+            succ = m.step((q,), label)
             if not succ:
                 continue
-            dst = succ[0]
+            (dst,) = succ
             if dst not in number:
                 number[dst] = len(number)
                 order.append(dst)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import automaton as am
 from . import regex as rx
-from .words import CLOSE, OPEN, Alphabet, is_legal
+from .words import CLOSE, OPEN, is_legal
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,9 @@ def brute_equivalence(m: am.NominalAutomaton, cne, bound: EnumBound):
     letters) count as rejected by the machine.
     """
     sigma = m.sigma | rx.letters_of(cne)
-    machine_alphabet = Alphabet(m.sigma, m.n)
     denoted = rx.denote_bounded(cne, bound.max_len)
     for word in enumerate_legal(sigma, bound):
-        accepted = is_legal(word, machine_alphabet) and am.accepts(m, word)
+        accepted = is_legal(word, m.alphabet) and am.accepts(m, word)
         if accepted != (word in denoted):
             return word
     return None

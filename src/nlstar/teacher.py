@@ -14,7 +14,7 @@ from enum import Enum
 
 from . import automaton as am
 from . import regex as rx
-from .words import Alphabet, IllegalWordError, is_legal, serialize_word
+from .words import IllegalWordError, is_legal, serialize_word
 
 
 class Answer(Enum):
@@ -39,7 +39,6 @@ class Teacher:
         self.membership_queries = 0
         self.equivalence_queries = 0
         self.log = []
-        self._alphabet = Alphabet(target.sigma, target.n)
         self._delta = {(src, label): dst for src, label, dst in target.transitions}
         incoming = {}
         for src, _, dst in target.transitions:
@@ -61,7 +60,7 @@ class Teacher:
         """ONE if the word is in the language, P if it extends to a member,
         ZERO otherwise.  ONE wins when both hold.  Illegal words are a
         learner bug: the learner must mark those cells itself."""
-        if not is_legal(word, self._alphabet):
+        if not is_legal(word, self.target.alphabet):
             raise IllegalWordError(
                 f"membership query for illegal word {serialize_word(word)!r}"
             )

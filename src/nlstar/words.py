@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 OPEN = "<<"
@@ -77,6 +78,13 @@ class Alphabet:
             out.append(OPEN)
             out.append(CLOSE)
         return tuple(out)
+
+    @cached_property
+    def tokens_at(self) -> tuple:
+        """``tokens_at[count]`` are the tokens a legal word with ``count``
+        binders open may go on with, in ``tokens()`` order."""
+        fits = [(tok, summarize((tok,), self.sigma).fits) for tok in self.tokens()]
+        return tuple(tuple(tok for tok, fit in fits if fit(self.n, count)) for count in range(self.n + 1))
 
 
 class Summary(NamedTuple):

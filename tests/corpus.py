@@ -1,11 +1,22 @@
-"""Deterministic random target generation shared by the test modules."""
+"""Deterministic random target generation, and the environment of CLI
+child processes, shared by the test modules."""
 
+import os
 import random
+from pathlib import Path
 
 from nlstar import automaton as am
 from nlstar import regex as rx
 
 SIGMA = ("a", "b")
+
+# ``python -m nlstar.cli`` children import the package under test from
+# its source tree, whether or not the test process got it by PYTHONPATH.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": str(Path(am.__file__).parents[1]),
+    "PYTHONIOENCODING": "utf-8",
+}
 
 
 def random_nominal(rng, size, names=(), depth_left=2):

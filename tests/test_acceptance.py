@@ -20,9 +20,9 @@ from nlstar.learner import LearnConfig, run_nlstar
 from nlstar.oracle import EnumBound, brute_equivalence, brute_membership, enumerate_legal
 from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
-from nlstar.words import CLOSE, OPEN, Alphabet, concat, is_legal, parse_word, reg
+from nlstar.words import CLOSE, OPEN, concat, is_legal, parse_word, reg
 
-from .corpus import SIGMA, binder_free_targets, corpus_targets
+from .corpus import CHILD_ENV, SIGMA, binder_free_targets, corpus_targets
 
 AB = frozenset(SIGMA)
 CORPUS_SEED = 20250808
@@ -217,8 +217,8 @@ def test_criterion_6_oracle_equivalence(corpus_runs):
             if witness is None:
                 assert brute is None
             else:
-                accepted1 = is_legal(witness, Alphabet(m1.sigma, m1.n)) and am.accepts(m1, witness)
-                accepted2 = is_legal(witness, Alphabet(m2.sigma, m2.n)) and am.accepts(m2, witness)
+                accepted1 = is_legal(witness, m1.alphabet) and am.accepts(m1, witness)
+                accepted2 = is_legal(witness, m2.alphabet) and am.accepts(m2, witness)
                 assert accepted1 != accepted2
                 if len(witness) <= bound.max_len:
                     assert brute is not None
@@ -232,7 +232,7 @@ def test_criterion_7_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "nlstar.cli", "learn",
                  "--target", WORKED_TEXT, "--log", str(log), "--oracle-len", "6"],
-                capture_output=True, check=True,
+                capture_output=True, check=True, env=CHILD_ENV,
             )
             return proc.stdout, proc.stderr, log.read_bytes()
 

@@ -18,7 +18,7 @@ from nlstar.automaton import (
 )
 from nlstar.oracle import EnumBound, enumerate_legal
 from nlstar.regex import Empty, Epsilon, canonicalize, denote_bounded, parse_regex, theta
-from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal
+from nlstar.words import CLOSE, OPEN, IllegalWordError, is_legal
 
 from .corpus import random_nominal
 
@@ -143,7 +143,7 @@ def test_determinize_totalises_on_legal_labels():
     delta = {(src, label) for src, label, _ in det.transitions}
     for state in det.states:
         layer = det.layers[state]
-        for label in am._legal_labels(det.sigma, det.n, layer):
+        for label in det.alphabet.tokens_at[layer]:
             assert (state, label) in delta
 
 
@@ -242,7 +242,7 @@ def _differences(m1, m2, bound):
 
 
 def _lenient_accepts(machine, word):
-    return is_legal(word, Alphabet(machine.sigma, machine.n)) and am.accepts(machine, word)
+    return is_legal(word, machine.alphabet) and am.accepts(machine, word)
 
 
 @given(nominal, nominal, st.sampled_from([Strategy.MAX_FRESH, Strategy.MIN_FRESH]))

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +7,8 @@ import pytest
 
 from nlstar import cli
 from nlstar.cli import main
+
+from .corpus import CHILD_ENV
 
 
 def test_compile_emits_valid_json(capsys):
@@ -138,6 +139,7 @@ def test_two_processes_produce_identical_bytes(tmp_path):
             ],
             capture_output=True,
             check=True,
+            env=CHILD_ENV,
         )
         return proc.stdout, proc.stderr, log.read_bytes()
 
@@ -145,7 +147,6 @@ def test_two_processes_produce_identical_bytes(tmp_path):
 
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(cli.__file__).parents[1]
 GOLDEN_RUNS = {
     "learn_json": (["--emit", "json"], 0),
     "learn_table": (["--emit", "table"], 0),
@@ -159,12 +160,11 @@ def test_learn_bytes_match_golden(name, tmp_path):
     # runs; any change to the output text must re-record them on purpose.
     extra, code = GOLDEN_RUNS[name]
     log = tmp_path / "queries.log"
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
     proc = subprocess.run(
         [sys.executable, "-m", "nlstar.cli", "learn", "--target", "ab<n.n*>",
          "--log", str(log), *extra],
         capture_output=True,
-        env=env,
+        env=CHILD_ENV,
     )
     assert proc.returncode == code
     assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()

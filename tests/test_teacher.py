@@ -142,6 +142,6 @@ def test_counterexamples_really_disagree(target_node, probe_node):
     witness = teacher.equivalence(hypothesis)
     if witness is not None:
         in_target = brute_membership(target, witness)
-        legal_for_probe = is_legal(witness, Alphabet(AB, hypothesis.n))
+        legal_for_probe = is_legal(witness, hypothesis.alphabet)
         in_probe = legal_for_probe and am.accepts(hypothesis, witness)
         assert in_target != in_probe

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlstar.oracle import EnumBound, enumerate_legal
 from nlstar.words import (
     CLOSE,
     OPEN,
@@ -28,6 +29,23 @@ def test_alphabet_tokens_without_binders():
 
 def test_alphabet_tokens_with_binders():
     assert AB2.tokens() == ("a", "b", 1, 2, OPEN, CLOSE)
+
+
+@pytest.mark.parametrize("sigma", [(), ("a",), ("b", "a", "c")])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_tokens_at_matches_the_reference_enumeration(sigma, n):
+    # enumerate_legal spells the token order out in its own loop; the
+    # one-token extensions of a word with ``count`` binders open are
+    # exactly the tokens legal at that count, in the same order.
+    alphabet = Alphabet(sigma, n)
+    for count in range(n + 1):
+        opened = (OPEN,) * count
+        extensions = [
+            word[-1]
+            for word in enumerate_legal(sigma, EnumBound(count + 1, n))
+            if len(word) == count + 1 and word[:count] == opened
+        ]
+        assert alphabet.tokens_at[count] == tuple(extensions)
 
 
 def test_alphabet_rejects_bad_letters():
