@@ -19,6 +19,7 @@ from .regex import (
     FreeNameError,
     NotCanonicalError,
     RegexSyntaxError,
+    TreeTooDeepError,
     canonicalize,
     denote_bounded,
     format_regex,

@@ -16,7 +16,7 @@ from . import automaton as am
 from . import regex as rx
 from .learner import LearnConfig, RoundLimitError, run_nlstar
 from .oracle import EnumBound, brute_equivalence
-from .teacher import Teacher
+from .teacher import Answer, Teacher
 from .words import IllegalWordError, parse_word, serialize_word
 
 
@@ -44,7 +44,7 @@ def cmd_learn(args) -> int:
     # before each one is the table of that round.
     grids = []
     config = LearnConfig(
-        max_rounds=args.max_rounds, on_hypothesis=lambda table, _: grids.append(table.grid())
+        max_rounds=args.max_rounds, on_hypothesis=lambda table, _: grids.append(render_grid(table))
     )
     try:
         learned, stats = run_nlstar(teacher, config)
@@ -75,6 +75,23 @@ def cmd_learn(args) -> int:
             )
             return 3
     return 0
+
+
+def render_grid(table) -> str:
+    """Plain-text table: register column, row labels, one column per suffix."""
+    grid = [["reg", "label"] + [serialize_word(e) or "eps" for e in table.e_words]]
+    for label in table.labels():
+        row = table.row(label)
+        cells = ["⊥" if cell is Answer.BOTTOM else cell.value for cell in table.values(label)]
+        grid.append(["-" if row is None else str(row[1]), serialize_word(label) or "eps"] + cells)
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    lines = [" | ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in grid]
+    rule = "-+-".join("-" * w for w in widths)
+    # A rule under the header and one between S and its extensions, if any.
+    if len(lines) > len(table.s_words) + 1:
+        lines.insert(len(table.s_words) + 1, rule)
+    lines.insert(1, rule)
+    return "\n".join(lines) + "\n"
 
 
 def _write_log(path, teacher):

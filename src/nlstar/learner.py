@@ -9,10 +9,12 @@ locally, without asking the teacher; row labels that are themselves
 illegal keep an all-bottom row and never participate in closedness or
 consistency checks.
 
-The table keeps one ``words.Summary`` per label and suffix: a cell's
-legality is an O(1) test on two of them.  Rows are stored, gain a column
-per new suffix and are rebuilt only when the register bound grows; the
-queries and their order are those of a full refill.
+The table keeps one ``words.Summary`` per label and suffix.  Each fill
+works out, per open count, which columns a label ending with that count
+may take, so a cell costs one list read and one memo lookup.  Rows are
+stored, gain a column per new suffix and are rebuilt only when the
+register bound grows; the queries and their order are those of a full
+refill.  Column 0 is always the empty suffix.
 
 The learner starts from the bare letter alphabet and discovers binders
 through counterexamples: a counterexample of depth d raises the table's
@@ -84,6 +86,7 @@ class ObservationTable:
         self.sigma = frozenset(sigma)
         self.s_words = [()]
         self.e_words = [()]
+        self._columns = {(): 0}  # suffix -> its index in e_words
         self._answers = {}
         self._summaries = {}
         self._set_depth(0)
@@ -117,6 +120,10 @@ class ObservationTable:
         Only cells missing from the stored rows are visited, label by
         label, so the queries come in the order a full refill asks them."""
         self._states = None
+        tails = [self._summary(suffix) for suffix in self.e_words]
+        # legal[count][j]: suffix j may follow a label that leaves count binders open.
+        legal = [[tail is not None and tail.fits(self.n, count) for tail in tails]
+                 for count in range(self.n + 1)]
         for label in self.labels():
             row = self._rows.get(label)
             if row is not None and len(row[0]) == len(self.e_words):
@@ -126,36 +133,35 @@ class ObservationTable:
                 self._rows[label] = None
                 continue
             values = list(row[0]) if row else []
-            for suffix in self.e_words[len(values):]:
-                tail = self._summary(suffix)
-                if tail is None or not tail.fits(self.n, head.final):
+            fits = legal[head.final]
+            for j in range(len(values), len(self.e_words)):
+                if not fits[j]:
                     values.append(Answer.BOTTOM)
                     continue
-                word = label + suffix
-                if word not in self._answers:
-                    self._answers[word] = teacher.membership(word)
-                values.append(self._answers[word])
+                word = label + self.e_words[j]
+                answer = self._answers.get(word)
+                if answer is None:
+                    answer = self._answers[word] = teacher.membership(word)
+                values.append(answer)
             self._rows[label] = (tuple(values), head.final)
 
     def row(self, label):
         """(cell values over E, register count), or None for illegal labels."""
         return self._rows[label]
 
-    def _values(self, label):
+    def values(self, label):
+        """Cell values over E; all bottom for an illegal label."""
         row = self._rows[label]
         return (Answer.BOTTOM,) * len(self.e_words) if row is None else row[0]
 
     def cell(self, label, suffix) -> Answer:
-        return self._values(label)[self.e_words.index(suffix)]
+        return self.values(label)[self._columns[suffix]]
 
     def check_closed(self):
         """First one-token extension whose row matches no S row, or None."""
-        s_rows = {self._rows[s] for s in self.s_words}
-        for label in self.labels()[len(self.s_words):]:
-            candidate = self._rows[label]
-            if candidate is not None and candidate not in s_rows:
-                return label
-        return None
+        rows, ids = self._rows, self.state_map()
+        extensions = self.labels()[len(self.s_words):]
+        return next((x for x in extensions if rows[x] is not None and rows[x] not in ids), None)
 
     def check_consistent(self):
         """First token.suffix extension separating two equal S rows, or None."""
@@ -168,7 +174,7 @@ class ObservationTable:
         for tok in self._tokens:
             splits = []
             for members in clashes:
-                base, *others = [self._values(s + (tok,)) for s in members]
+                base, *others = [self.values(s + (tok,)) for s in members]
                 for cells in others:
                     if cells != base:
                         splits.append(next(i for i, x in enumerate(base) if x is not cells[i]))
@@ -188,8 +194,9 @@ class ObservationTable:
     def extend_consistent(self, column, teacher: Teacher):
         """Add the separating word to E; suffix-closure is preserved because
         the new column is a one-token extension of an existing suffix."""
-        if column in self.e_words:
+        if column in self._columns:
             raise ValueError(f"{column!r} is already a column label in E")
+        self._columns[column] = len(self.e_words)
         self.e_words.append(column)
         self.fill(teacher)
 
@@ -222,46 +229,29 @@ class ObservationTable:
         return None if key is None else self.state_map().get(key)
 
     def to_automaton(self) -> am.NominalAutomaton:
-        """Hypothesis machine of a closed and consistent table."""
-        if self.check_closed() is not None or self.check_consistent() is not None:
-            raise NotClosedOrConsistentError("table is not closed and consistent")
+        """Hypothesis machine of a closed and consistent table.
+
+        The transition loop visits every extension row, so it checks both:
+        each must match an S row, and equal S rows must agree on it."""
         ids = self.state_map()
         layers = {state: register for (_, register), state in ids.items()}
-        eps_col = self.e_words.index(())
         finals = [state for (values, register), state in ids.items()
-                  if values[eps_col] is Answer.ONE and register == 0]
+                  if values[0] is Answer.ONE and register == 0]
         delta = {}
         for s in self.s_words:
             src = ids[self._rows[s]]
             for tok in self._tokens:
                 succ = self._rows[s + (tok,)]
-                if succ is not None and delta.setdefault((src, tok), ids[succ]) != ids[succ]:
-                    raise NotClosedOrConsistentError(f"conflicting successors for ({src}, {tok!r})")
+                if succ is None:
+                    continue
+                dst = ids.get(succ)
+                if dst is None or delta.setdefault((src, tok), dst) != dst:
+                    broken = "closed" if dst is None else "consistent"
+                    raise NotClosedOrConsistentError(
+                        f"table is not {broken} at {serialize_word(s + (tok,))!r}")
         transitions = [(src, tok, dst) for (src, tok), dst in delta.items()]
         initial = ids[self._rows[()]]
         return am.NominalAutomaton(self.sigma, self.n, layers, initial, finals, transitions)
-
-    def grid(self) -> str:
-        """Plain-text table: register column, row labels, one column per suffix."""
-        header = ["reg", "label"] + [serialize_word(e) or "eps" for e in self.e_words]
-        body = [
-            ["-" if self._rows[label] is None else str(self._rows[label][1]),
-             serialize_word(label) or "eps"]
-            + [cell.short for cell in self._values(label)]
-            for label in self.labels()
-        ]
-        widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
-
-        def fmt(row):
-            return " | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-
-        rule = "-+-".join("-" * w for w in widths)
-        lines = [fmt(header), rule]
-        for index, row in enumerate(body):
-            if index == len(self.s_words):
-                lines.append(rule)
-            lines.append(fmt(row))
-        return "\n".join(lines) + "\n"
 
 
 def init_table(teacher: Teacher) -> ObservationTable:

@@ -17,7 +17,8 @@ Text grammar (precedence: star > juxtaposition > '+')::
 Adjacent letters may be written without spaces when they split uniquely
 into declared alphabet letters ("ab" over sigma={a,b}).  Numbers are one
 to nine ASCII digits.  Brackets and the parsed tree nest at most
-``MAX_NESTING`` levels deep, so the recursive walks fit Python's stack.
+``MAX_NESTING`` levels deep, so the recursive walks fit Python's stack;
+``canonicalize`` holds trees built in code to the same limit.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ class FreeNameError(ValueError):
 
 class NotCanonicalError(ValueError):
     """Raised when an operation requires a canonical expression."""
+
+
+class TreeTooDeepError(ValueError):
+    """Raised when a tree built in code is deeper than ``MAX_NESTING`` levels."""
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +310,24 @@ def is_closed(node) -> bool:
     return not free_names(node)
 
 
+def _levels(node):
+    """The tree's nodes level by level, without recursion; a subtree that
+    several parents share appears once per level."""
+    nodes = [node]
+    while nodes:
+        yield nodes
+        below = {}
+        for parent in nodes:
+            if isinstance(parent, (Sum, Concat)):
+                below[id(parent.left)] = parent.left
+                below[id(parent.right)] = parent.right
+            elif isinstance(parent, (Star, Binder)):
+                below[id(parent.body)] = parent.body
+        nodes = list(below.values())
+
+
 def letters_of(node) -> frozenset:
-    if isinstance(node, Letter):
-        return frozenset([node.symbol])
-    if isinstance(node, (Sum, Concat)):
-        return letters_of(node.left) | letters_of(node.right)
-    if isinstance(node, (Star, Binder)):
-        return letters_of(node.body)
-    return frozenset()
+    return frozenset(n.symbol for nodes in _levels(node) for n in nodes if isinstance(n, Letter))
 
 
 def canonicalize(node):
@@ -320,8 +335,12 @@ def canonicalize(node):
 
     The rewrite is capture-avoiding: shadowed names resolve to the
     innermost enclosing binder.  The tree shape is preserved node for
-    node; only binder names and references change.
+    node; only binder names and references change.  A tree deeper than
+    ``MAX_NESTING`` levels raises ``TreeTooDeepError``.
     """
+    height = sum(1 for _ in _levels(node))
+    if height > MAX_NESTING:
+        raise TreeTooDeepError(f"expression tree height {height} is over the limit {MAX_NESTING}")
     missing = free_names(node)
     if missing:
         raise FreeNameError(f"expression has free names: {sorted(map(str, missing))}")

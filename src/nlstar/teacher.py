@@ -25,9 +25,8 @@ class Answer(Enum):
     ZERO = "0"
     BOTTOM = "bottom"
 
-    @property
-    def short(self) -> str:
-        return "⊥" if self is Answer.BOTTOM else self.value
+    # The members are singletons; Enum.__hash__ hashes the name in Python.
+    __hash__ = object.__hash__
 
 
 class Teacher:
@@ -59,16 +58,24 @@ class Teacher:
     def membership(self, word) -> Answer:
         """ONE if the word is in the language, P if it extends to a member,
         ZERO otherwise.  ONE wins when both hold.  Illegal words are a
-        learner bug: the learner must mark those cells itself."""
-        if not is_legal(word, self.target.alphabet):
-            raise IllegalWordError(
-                f"membership query for illegal word {serialize_word(word)!r}"
-            )
+        learner bug: the learner must mark those cells itself.
+
+        The target only has edges that keep to the layer rules, so a word
+        it reads to the end is legal; ``is_legal`` judges the rest."""
         state = self.target.initial
         for tok in word:
+            # Only str and non-bool int tokens walk: True == 1 and 1.0 == 1
+            # would find register 1's edge.
+            if type(tok) is not str and type(tok) is not int and (
+                type(tok) is bool or not isinstance(tok, (str, int))
+            ):
+                state = None
+                break
             state = self._delta.get((state, tok))
             if state is None:
                 break
+        if state is None and not is_legal(word, self.target.alphabet):
+            raise IllegalWordError(f"membership query for illegal word {serialize_word(word)!r}")
         if state in self.target.finals:
             answer = Answer.ONE
         elif state is not None and state in self._live:

@@ -196,8 +196,6 @@ def serialize_word(word) -> str:
         elif tok == CLOSE:
             count -= 1
             parts.append(CLOSE)
-        elif isinstance(tok, int):
-            parts.append(str(tok))
         else:
             parts.append(str(tok))
     return " ".join(parts)

@@ -227,17 +227,18 @@ def test_criterion_6_oracle_equivalence(corpus_runs):
 
 def test_criterion_7_determinism(tmp_path):
     with criterion(7, "byte-identical outputs for identical configs"):
-        def run(tag):
-            log = tmp_path / f"{tag}.log"
+        # Two hash seeds: no output may depend on set or dict hash order.
+        def run(seed):
+            log = tmp_path / f"{seed}.log"
             proc = subprocess.run(
                 [sys.executable, "-m", "nlstar.cli", "learn",
                  "--target", WORKED_TEXT, "--log", str(log), "--oracle-len", "6"],
-                capture_output=True, check=True, env=CHILD_ENV,
+                capture_output=True, check=True, env={**CHILD_ENV, "PYTHONHASHSEED": seed},
             )
             return proc.stdout, proc.stderr, log.read_bytes()
 
-        first = run("one")
-        second = run("two")
+        first = run("1")
+        second = run("2")
         assert first == second
         machine = json.loads(first[0])
         assert len(machine["states"]) == 7

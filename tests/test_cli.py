@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from nlstar import cli
-from nlstar.cli import main
+from nlstar.cli import main, render_grid
+from nlstar.learner import init_table
+from nlstar.teacher import Teacher
 
 from .corpus import CHILD_ENV
 
@@ -97,6 +99,18 @@ def test_learn_emit_table(capsys):
     assert "⊥" in out
 
 
+def test_grid_matches_initial_table_layout():
+    table = init_table(Teacher.from_regex("ab<n.n*>", {"a", "b"}))
+    assert render_grid(table) == (
+        "reg | label | eps\n"
+        "----+-------+----\n"
+        "0   | eps   | P\n"
+        "----+-------+----\n"
+        "0   | a     | P\n"
+        "0   | b     | 0\n"
+    )
+
+
 def test_learn_round_cap(capsys):
     assert main(["learn", "--target", "ab<n.n*>", "--max-rounds", "1"]) == 4
     assert "round cap" in capsys.readouterr().err
@@ -124,8 +138,9 @@ def test_learn_strategy_invariance(capsys):
 
 
 def test_two_processes_produce_identical_bytes(tmp_path):
-    def run(tag):
-        log = tmp_path / f"{tag}.log"
+    # Two hash seeds: no output may depend on set or dict hash order.
+    def run(seed):
+        log = tmp_path / f"{seed}.log"
         proc = subprocess.run(
             [
                 sys.executable,
@@ -139,11 +154,11 @@ def test_two_processes_produce_identical_bytes(tmp_path):
             ],
             capture_output=True,
             check=True,
-            env=CHILD_ENV,
+            env={**CHILD_ENV, "PYTHONHASHSEED": seed},
         )
         return proc.stdout, proc.stderr, log.read_bytes()
 
-    assert run("one") == run("two")
+    assert run("1") == run("2")
 
 
 GOLDEN = Path(__file__).parent / "golden"

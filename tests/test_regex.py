@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlstar.regex import (
+    MAX_NESTING,
     Binder,
     Concat,
     Empty,
@@ -14,6 +15,7 @@ from nlstar.regex import (
     RegexSyntaxError,
     Star,
     Sum,
+    TreeTooDeepError,
     canonicalize,
     denote_bounded,
     format_regex,
@@ -112,6 +114,22 @@ def test_canonicalize_shadowing_resolves_innermost():
 def test_canonicalize_requires_closed():
     with pytest.raises(FreeNameError):
         canonicalize(Name("n"))
+
+
+def chain(wrap, height):
+    node = Letter("a")
+    for _ in range(height - 1):
+        node = wrap(node)
+    return node
+
+
+@pytest.mark.parametrize(
+    "wrap", [lambda t: Concat(t, Letter("b")), lambda t: Binder("n", t)], ids=["concat", "binder"]
+)
+def test_canonicalize_holds_trees_built_in_code_to_the_parser_limit(wrap):
+    assert canonicalize(chain(wrap, MAX_NESTING)) is not None
+    with pytest.raises(TreeTooDeepError, match=f"height 3000 is over the limit {MAX_NESTING}"):
+        canonicalize(chain(wrap, 3000))
 
 
 def test_theta_examples():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlstar import automaton as am
@@ -9,7 +9,7 @@ from nlstar.automaton import AlphabetMismatchError, Strategy
 from nlstar.oracle import EnumBound, brute_membership, enumerate_legal
 from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
-from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, prefixes
+from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, prefixes, serialize_word
 
 from .corpus import random_nominal
 
@@ -145,3 +145,89 @@ def test_counterexamples_really_disagree(target_node, probe_node):
         legal_for_probe = is_legal(witness, hypothesis.alphabet)
         in_probe = legal_for_probe and am.accepts(hypothesis, witness)
         assert in_target != in_probe
+
+
+class StrToken(str):
+    pass
+
+
+class IntToken(int):
+    pass
+
+
+# Tokens that a target's edges may carry.
+TOKENS = ["a", "b", OPEN, CLOSE, 1, 2]
+# A letter outside sigma, registers out of range, values that compare equal
+# to register 1 (True == 1.0 == 1) but are no token, and subclasses of the
+# token types, which are tokens.
+ODD_TOKENS = ["c", -1, 0, 3, 4, True, False, 1.0, None, StrToken("a"), IntToken(1)]
+
+
+@st.composite
+def token_words(draw):
+    """Words over TOKENS, half of them with one token swapped for an odd one."""
+    word = draw(st.lists(st.sampled_from(TOKENS), max_size=6))
+    if word and draw(st.booleans()):
+        word[draw(st.integers(0, len(word) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+    return tuple(word)
+
+
+def live_states(target):
+    """States from which a final state can be reached."""
+    live = set(target.finals)
+    while True:
+        grown = live | {src for src, _, dst in target.transitions if dst in live}
+        if grown == live:
+            return live
+        live = grown
+
+
+def reference_membership(target, word, log):
+    """Reference answer: ``is_legal`` first, then the walk."""
+    if not is_legal(word, target.alphabet):
+        raise IllegalWordError(f"membership query for illegal word {serialize_word(word)!r}")
+    delta = {(src, label): dst for src, label, dst in target.transitions}
+    state = target.initial
+    for tok in word:
+        state = delta.get((state, tok))
+        if state is None:
+            break
+    if state in target.finals:
+        answer = Answer.ONE
+    elif state in live_states(target):
+        answer = Answer.P
+    else:
+        answer = Answer.ZERO
+    log.append(("member", word, answer))
+    return answer
+
+
+WORKED_WORDS = [("a", "b", OPEN, tok) for tok in [1] + ODD_TOKENS] + [("a", StrToken("b")), ()]
+
+
+@given(nominal, st.booleans(), st.lists(token_words(), min_size=20, max_size=60))
+@example(parse_regex("ab<n.n*>", AB), False, WORKED_WORDS)
+@example(parse_regex("ab<n.n*>", AB), True, WORKED_WORDS + [("b",), ("b", OPEN, 1), ("b", OPEN, True)])
+@settings(deadline=None, max_examples=60)
+def test_membership_matches_the_legality_first_reference(node, partial, queries):
+    target = am.determinize(am.compile(canonicalize(node), AB))
+    if partial:
+        # Drop the edges into dead states, so the walk stops on legal words too.
+        live = live_states(target)
+        target = am.NominalAutomaton(
+            target.sigma, target.n, target.layers, target.initial, target.finals,
+            [edge for edge in target.transitions if edge[2] in live],
+        )
+    teacher = Teacher(target)
+    log = []
+    for word in queries:
+        try:
+            expected = reference_membership(target, word, log)
+        except IllegalWordError as exc:
+            with pytest.raises(IllegalWordError) as raised:
+                teacher.membership(word)
+            assert str(raised.value) == str(exc)
+        else:
+            assert teacher.membership(word) is expected
+        assert teacher.membership_queries == len(log)
+        assert teacher.log == log
