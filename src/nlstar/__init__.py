@@ -38,7 +38,6 @@ from .automaton import (
     SchemaError,
     Strategy,
     accepts,
-    canonical_form,
     determinize,
     equivalence,
     from_json,

@@ -265,21 +265,17 @@ def accepts(m: NominalAutomaton, word) -> bool:
 # ---------------------------------------------------------------------------
 # determinization
 
-def determinize(m: NominalAutomaton, n=None) -> NominalAutomaton:
+def determinize(m: NominalAutomaton) -> NominalAutomaton:
     """Subset construction restricted to legal continuations.
 
     The result is silent-move free and *total on legal labels*: from a
     layer-l state every letter, every register 1..l, OPEN below layer
-    ``n`` and CLOSE above layer 0 has exactly one successor.  Missing
+    ``m.n`` and CLOSE above layer 0 has exactly one successor.  Missing
     behaviour is routed to one non-accepting sink per layer, materialised
     on demand.  Subsets never mix layers because all labels shift layers
-    uniformly.
+    uniformly.  States are numbered breadth-first in label order, so the
+    result is the canonical form that ``isomorphic`` compares.
     """
-    n = m.n if n is None else int(n)
-    if n < m.n:
-        raise ValueError(f"cannot shrink layer bound {m.n} to {n}")
-    alphabet = _alphabet(m.sigma, n)
-
     start = m.eps_closure([m.initial])
     if {m.layers[q] for q in start} != {0}:
         raise InvalidAutomatonError("initial closure mixes layers")
@@ -290,7 +286,7 @@ def determinize(m: NominalAutomaton, n=None) -> NominalAutomaton:
     transitions = []
     for key in order:  # grows while it is walked: breadth-first
         subset, layer = key
-        for label in alphabet.tokens_at[layer]:
+        for label in m.alphabet.tokens_at[layer]:
             nlayer = layer + _SHIFT.get(label, 0)
             closed = m.step(subset, label)
             if closed and {m.layers[q] for q in closed} != {nlayer}:
@@ -302,7 +298,7 @@ def determinize(m: NominalAutomaton, n=None) -> NominalAutomaton:
             transitions.append((ids[key], label, ids[dst]))
     layers = {ids[key]: key[1] for key in order}
     finals = [ids[key] for key in order if key[0] & m.finals]
-    return NominalAutomaton(m.sigma, n, layers, "q0", finals, transitions)
+    return NominalAutomaton(m.sigma, m.n, layers, "q0", finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +372,7 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     same legal words; per-layer dead states count, so sinks survive where
     the language needs them.
     """
-    if m.has_eps or not m.deterministic:
+    if not m.deterministic:
         raise NondeterministicInputError("minimize requires a deterministic automaton")
     d = determinize(m)  # reachable part, totalised on legal labels
     delta = {(src, label): dst for src, label, dst in d.transitions}
@@ -412,34 +408,17 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     return determinize(quotient)
 
 
-def canonical_form(m: NominalAutomaton):
-    """Structure of a deterministic machine up to state renaming.
-
-    Two reachable deterministic machines are isomorphic iff their
-    canonical forms are equal.
-    """
-    if m.has_eps or not m.deterministic:
-        raise NondeterministicInputError("canonical_form requires a deterministic automaton")
-    number = {m.initial: 0}
-    order = [m.initial]
-    rows = []
-    for q in order:  # grows while it is walked: breadth-first
-        edges = []
-        for label in m.alphabet.tokens_at[m.layers[q]]:
-            succ = m.step((q,), label)
-            if not succ:
-                continue
-            (dst,) = succ
-            if dst not in number:
-                number[dst] = len(number)
-                order.append(dst)
-            edges.append((label, number[dst]))
-        rows.append((m.layers[q], q in m.finals, tuple(edges)))
-    return (tuple(sorted(m.sigma)), m.n, tuple(rows))
-
-
 def isomorphic(m1: NominalAutomaton, m2: NominalAutomaton) -> bool:
-    return canonical_form(m1) == canonical_form(m2)
+    """Whether two deterministic machines are the same up to state renaming.
+
+    Compares their ``determinize`` forms: the reachable parts, totalised
+    on legal labels, so a missing edge equals an edge into a rejecting
+    sink.  ``minimize`` results and ``to_automaton`` hypotheses have an
+    edge for every legal label, so for them this is the plain check.
+    """
+    if not (m1.deterministic and m2.deterministic):
+        raise NondeterministicInputError("isomorphic requires deterministic automata")
+    return to_document(determinize(m1)) == to_document(determinize(m2))
 
 
 # ---------------------------------------------------------------------------

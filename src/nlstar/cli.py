@@ -1,8 +1,9 @@
 """Command-line front end: compile expressions, answer single membership
 queries, and run full learning sessions.
 
-Exit codes: 0 success, 2 parse/usage errors, 3 oracle disagreement on a
-learned machine, 4 round cap exceeded.
+Exit codes: 0 success, 2 parse/usage errors (a negative ``--oracle-len``
+or ``--max-rounds`` among them), 3 oracle disagreement on a learned
+machine, 4 round cap exceeded.
 """
 
 from __future__ import annotations
@@ -109,6 +110,14 @@ def _write_log(path, teacher):
             handle.write(json.dumps(record) + "\n")
 
 
+def count(text) -> int:
+    """Argparse type of the bounds: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nlstar",
@@ -135,10 +144,10 @@ def main(argv=None) -> int:
     )
     p_learn.add_argument("--emit", choices=["json", "dot", "table"], default="json")
     p_learn.add_argument("--log", help="write the query log (JSON lines) here")
-    p_learn.add_argument("--max-rounds", type=int, default=None)
+    p_learn.add_argument("--max-rounds", type=count, default=None)
     p_learn.add_argument(
         "--oracle-len",
-        type=int,
+        type=count,
         default=None,
         help="cross-check the result against brute-force enumeration up to this length",
     )

@@ -18,7 +18,8 @@ Adjacent letters may be written without spaces when they split uniquely
 into declared alphabet letters ("ab" over sigma={a,b}).  Numbers are one
 to nine ASCII digits.  Brackets and the parsed tree nest at most
 ``MAX_NESTING`` levels deep, so the recursive walks fit Python's stack;
-``canonicalize`` holds trees built in code to the same limit.
+``canonicalize`` and ``is_canonical`` (so ``compile`` and
+``denote_bounded``) hold trees built in code to the same limit.
 """
 
 from __future__ import annotations
@@ -330,6 +331,13 @@ def letters_of(node) -> frozenset:
     return frozenset(n.symbol for nodes in _levels(node) for n in nodes if isinstance(n, Letter))
 
 
+def _check_height(node):
+    """Raise ``TreeTooDeepError`` if the tree is taller than the recursive walks allow."""
+    height = sum(1 for _ in _levels(node))
+    if height > MAX_NESTING:
+        raise TreeTooDeepError(f"expression tree height {height} is over the limit {MAX_NESTING}")
+
+
 def canonicalize(node):
     """Rename bound names to their nesting levels (outermost binder = 1).
 
@@ -338,9 +346,7 @@ def canonicalize(node):
     node; only binder names and references change.  A tree deeper than
     ``MAX_NESTING`` levels raises ``TreeTooDeepError``.
     """
-    height = sum(1 for _ in _levels(node))
-    if height > MAX_NESTING:
-        raise TreeTooDeepError(f"expression tree height {height} is over the limit {MAX_NESTING}")
+    _check_height(node)
     missing = free_names(node)
     if missing:
         raise FreeNameError(f"expression has free names: {sorted(map(str, missing))}")
@@ -363,6 +369,10 @@ def canonicalize(node):
 
 
 def is_canonical(node) -> bool:
+    """Whether binders carry their nesting levels and names are in range.
+    A tree deeper than ``MAX_NESTING`` levels raises ``TreeTooDeepError``."""
+    _check_height(node)
+
     def walk(node, level):
         if isinstance(node, Name):
             return isinstance(node.ident, int) and 1 <= node.ident <= level

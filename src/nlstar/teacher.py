@@ -31,7 +31,7 @@ class Answer(Enum):
 
 class Teacher:
     def __init__(self, target: am.NominalAutomaton, strategy=am.Strategy.SHORTEST):
-        if target.has_eps or not target.deterministic:
+        if not target.deterministic:
             raise am.NondeterministicInputError("teacher needs a deterministic target")
         self.target = target
         self.strategy = strategy
@@ -87,12 +87,8 @@ class Teacher:
         return answer
 
     def equivalence(self, hypothesis: am.NominalAutomaton):
-        """None for yes; otherwise a word the two machines disagree on."""
-        if hypothesis.sigma != self.target.sigma:
-            raise am.AlphabetMismatchError(
-                f"hypothesis letters {sorted(hypothesis.sigma)} "
-                f"differ from target letters {sorted(self.target.sigma)}"
-            )
+        """None for yes; otherwise a word the two machines disagree on.
+        Raises ``AlphabetMismatchError``, before counting, if the letters differ."""
         counterexample = am.equivalence(self.target, hypothesis, self.strategy)
         self.equivalence_queries += 1
         self.log.append(("equiv", hypothesis, counterexample))

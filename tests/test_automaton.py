@@ -147,11 +147,6 @@ def test_determinize_totalises_on_legal_labels():
             assert (state, label) in delta
 
 
-def test_determinize_cannot_shrink_layer_bound():
-    with pytest.raises(ValueError):
-        am.determinize(am.compile(WORKED, AB), 0)
-
-
 nominal = st.integers(0, 10**9).map(
     lambda seed: random_nominal(random.Random(seed), size=7)
 )
@@ -303,6 +298,26 @@ def test_minimal_machines_unique_up_to_isomorphism():
     one = am.minimize(am.determinize(am.compile(canonicalize(parse_regex("a a* ", {"a"})), {"a"})))
     two = am.minimize(am.determinize(am.compile(canonicalize(parse_regex("a* a", {"a"})), {"a"})))
     assert am.isomorphic(one, two)
+
+
+def test_isomorphic_checks_structure_not_language():
+    det = am.determinize(am.compile(canonicalize(parse_regex("a a* + a", {"a"})), {"a"}))
+    mini = am.minimize(det)
+    assert (am.state_count(det), am.state_count(mini)) == (3, 2)
+    assert am.equivalence(det, mini) is None and not am.isomorphic(det, mini)
+    # Renamed and listed in another order, the same machine.
+    rename = {q: f"s{len(mini.states) - i}" for i, q in enumerate(mini.states)}
+    renamed = NominalAutomaton(
+        mini.sigma,
+        mini.n,
+        {rename[q]: layer for q, layer in reversed(mini.layers.items())},
+        rename[mini.initial],
+        [rename[q] for q in mini.finals],
+        [(rename[src], label, rename[dst]) for src, label, dst in reversed(mini.transitions)],
+    )
+    assert am.isomorphic(mini, renamed)
+    with pytest.raises(NondeterministicInputError):
+        am.isomorphic(am.compile(WORKED, AB), mini)
 
 
 # ---------------------------------------------------------------------------

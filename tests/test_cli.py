@@ -116,6 +116,15 @@ def test_learn_round_cap(capsys):
     assert "round cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--oracle-len", "--max-rounds"])
+def test_learn_rejects_negative_bound_before_learning(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["learn", "--target", "ab<n.n*>", flag, "-1"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {flag}: must not be negative: -1" in err
+
+
 def test_learn_oracle_disagreement_exit(monkeypatch, capsys):
     # The honest pipeline cannot disagree with itself, so force a witness
     # to check the wiring of exit code 3.

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlstar import compile_regex
 from nlstar.regex import (
     MAX_NESTING,
     Binder,
@@ -130,6 +131,19 @@ def test_canonicalize_holds_trees_built_in_code_to_the_parser_limit(wrap):
     assert canonicalize(chain(wrap, MAX_NESTING)) is not None
     with pytest.raises(TreeTooDeepError, match=f"height 3000 is over the limit {MAX_NESTING}"):
         canonicalize(chain(wrap, 3000))
+
+
+@pytest.mark.parametrize(
+    "use",
+    [lambda cne: compile_regex(cne, AB), lambda cne: denote_bounded(cne, 5)],
+    ids=["compile", "denote_bounded"],
+)
+def test_canonical_trees_built_in_code_are_held_to_the_parser_limit(use):
+    # These skip canonicalize; is_canonical checks the height for them.
+    fits, too_deep = (chain(lambda t: Concat(t, Letter("b")), h) for h in (MAX_NESTING, 3000))
+    use(fits)
+    with pytest.raises(TreeTooDeepError, match=f"height 3000 is over the limit {MAX_NESTING}"):
+        use(too_deep)
 
 
 def test_theta_examples():
