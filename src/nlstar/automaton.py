@@ -66,6 +66,8 @@ _SHIFT = {OPEN: 1, CLOSE: -1}
 # Machines with equal letters and bound share one Alphabet and its token lists.
 _alphabet = lru_cache(Alphabet)
 
+_NOWHERE = frozenset()
+
 
 def reachable_from(starts, successors):
     """Everything reachable from ``starts`` through ``successors``, starts included."""
@@ -97,10 +99,23 @@ class NominalAutomaton:
         self.transitions = tuple(tuple(t) for t in transitions)
         self._validate()
         self.alphabet = _alphabet(self.sigma, self.n)
-        self._succ = {}
+        # Raw silent successors, kept only to build closures.
+        self._eps = {}
+        targets = {}
         for src, label, dst in self.transitions:
-            self._succ.setdefault((src, label), []).append(dst)
-        self._closure_cache = {}
+            if label is EPS:
+                self._eps.setdefault(src, []).append(dst)
+            else:
+                targets.setdefault((src, label), []).append(dst)
+        self._closures = {}
+        # A duplicated edge counts as two targets, so it is nondeterministic.
+        self.deterministic = not self._eps and all(len(v) == 1 for v in targets.values())
+        # _succ[(src, label)]: the eps-closed set of the key's targets; a
+        # key with one target shares that state's closure.
+        self._succ = {
+            key: self._closure(dsts[0]) if len(dsts) == 1 else self.eps_closure(dsts)
+            for key, dsts in targets.items()
+        }
 
     def _validate(self):
         # ``type(x) is int`` rejects bools, which isinstance counts as ints.
@@ -142,30 +157,31 @@ class NominalAutomaton:
 
     @property
     def has_eps(self):
-        return any(isinstance(label, _EpsLabel) for _, label, _ in self.transitions)
+        return bool(self._eps)
 
-    @property
-    def deterministic(self):
-        if self.has_eps:
-            return False
-        return all(len(v) <= 1 for v in self._succ.values())
+    def _closure(self, state):
+        closure = self._closures.get(state)
+        if closure is None:
+            closure = self._closures[state] = frozenset(
+                reachable_from([state], lambda q: self._eps.get(q, ()))
+            )
+        return closure
 
     def eps_closure(self, states):
         out = set()
         for state in states:
-            if state not in self._closure_cache:
-                self._closure_cache[state] = frozenset(
-                    reachable_from([state], lambda q: self._succ.get((q, EPS), ()))
-                )
-            out |= self._closure_cache[state]
+            out |= self._closure(state)
         return frozenset(out)
 
     def step(self, states, label):
         """The eps-closed set of states one ``label`` move leads to from ``states``."""
-        stepped = set()
+        if len(states) == 1:
+            [q] = states
+            return self._succ.get((q, label), _NOWHERE)
+        out = set()
         for q in states:
-            stepped.update(self._succ.get((q, label), ()))
-        return self.eps_closure(stepped)
+            out |= self._succ.get((q, label), _NOWHERE)
+        return frozenset(out)
 
     def __repr__(self):
         return (

@@ -9,12 +9,16 @@ locally, without asking the teacher; row labels that are themselves
 illegal keep an all-bottom row and never participate in closedness or
 consistency checks.
 
-The table keeps one ``words.Summary`` per label and suffix.  Each fill
-works out, per open count, which columns a label ending with that count
-may take, so a cell costs one list read and one memo lookup.  Rows are
-stored, gain a column per new suffix and are rebuilt only when the
-register bound grows; the queries and their order are those of a full
-refill.  Column 0 is always the empty suffix.
+The table keeps one ``words.Summary`` per label and suffix, and, per
+open count, which columns a label ending with that count may take;
+these legality columns are kept across fills and grow by one entry per
+new suffix, so a cell costs one list read and one memo lookup.  Rows
+are stored with their register count, gain a column per new suffix and
+are rebuilt, like the legality columns, only when the register bound
+grows; an illegal row is not looked at again until then.  A closedness
+repair fills only the witness's one-token extensions, the only new
+labels.  The queries and their order are those of a full refill.
+Column 0 is always the empty suffix.
 
 The learner starts from the bare letter alphabet and discovers binders
 through counterexamples: a counterexample of depth d raises the table's
@@ -97,6 +101,8 @@ class ObservationTable:
         self.alphabet = Alphabet(self.sigma, n)
         self._tokens = self.alphabet.tokens()
         self._rows = {}
+        # _legal[count][j]: suffix j may follow a label that leaves count binders open.
+        self._legal = [[] for _ in range(n + 1)]
         self._labels = None
         self._states = None
 
@@ -114,27 +120,33 @@ class ObservationTable:
             self._labels = list(labels)
         return self._labels
 
-    def fill(self, teacher: Teacher):
+    def fill(self, teacher: Teacher, labels=None):
         """Extend T over (S u S.A).E with membership queries, bottom where illegal.
 
-        Only cells missing from the stored rows are visited, label by
-        label, so the queries come in the order a full refill asks them."""
+        Only cells missing from the stored rows of ``labels`` (default:
+        every label) are visited, label by label, so the queries come in
+        the order a full refill asks them.  Illegal rows stay None until
+        the register bound grows."""
         self._states = None
-        tails = [self._summary(suffix) for suffix in self.e_words]
-        # legal[count][j]: suffix j may follow a label that leaves count binders open.
-        legal = [[tail is not None and tail.fits(self.n, count) for tail in tails]
-                 for count in range(self.n + 1)]
-        for label in self.labels():
-            row = self._rows.get(label)
-            if row is not None and len(row[0]) == len(self.e_words):
+        legal, rows, width = self._legal, self._rows, len(self.e_words)
+        for suffix in self.e_words[len(legal[0]):]:
+            tail = self._summary(suffix)
+            for count, fits in enumerate(legal):
+                fits.append(tail is not None and tail.fits(self.n, count))
+        for label in self.labels() if labels is None else labels:
+            row = rows.get(label, ())  # () for a label not seen yet
+            if row is None or row and len(row[0]) == width:
                 continue
-            head = self._summary(label)
-            if head is None or not head.fits(self.n):
-                self._rows[label] = None
-                continue
-            values = list(row[0]) if row else []
-            fits = legal[head.final]
-            for j in range(len(values), len(self.e_words)):
+            if row:
+                values, count = list(row[0]), row[1]
+            else:
+                head = self._summary(label)
+                if head is None or not head.fits(self.n):
+                    rows[label] = None
+                    continue
+                values, count = [], head.final
+            fits = legal[count]
+            for j in range(len(values), width):
                 if not fits[j]:
                     values.append(Answer.BOTTOM)
                     continue
@@ -143,7 +155,7 @@ class ObservationTable:
                 if answer is None:
                     answer = self._answers[word] = teacher.membership(word)
                 values.append(answer)
-            self._rows[label] = (tuple(values), head.final)
+            rows[label] = (tuple(values), count)
 
     def row(self, label):
         """(cell values over E, register count), or None for illegal labels."""
@@ -189,7 +201,8 @@ class ObservationTable:
             raise ValueError(f"{witness!r} is already a row label in S")
         self.s_words.append(witness)
         self._labels = None
-        self.fill(teacher)
+        # Every other row is complete: only the witness's extensions are new.
+        self.fill(teacher, [witness + (tok,) for tok in self._tokens])
 
     def extend_consistent(self, column, teacher: Teacher):
         """Add the separating word to E; suffix-closure is preserved because

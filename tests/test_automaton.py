@@ -18,7 +18,7 @@ from nlstar.automaton import (
 )
 from nlstar.oracle import EnumBound, enumerate_legal
 from nlstar.regex import Empty, Epsilon, canonicalize, denote_bounded, parse_regex, theta
-from nlstar.words import CLOSE, OPEN, IllegalWordError, is_legal
+from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal
 
 from .corpus import random_nominal
 
@@ -145,6 +145,51 @@ def test_determinize_totalises_on_legal_labels():
         layer = det.layers[state]
         for label in det.alphabet.tokens_at[layer]:
             assert (state, label) in delta
+
+
+def _reference_step(m, states, label):
+    """The eps-closure, breadth-first over ``m.transitions``, of the raw successors."""
+    out = {dst for src, lab, dst in m.transitions if src in states and lab == label}
+    queue = list(out)
+    while queue:
+        q = queue.pop(0)
+        for src, lab, dst in m.transitions:
+            if src == q and lab is EPS and dst not in out:
+                out.add(dst)
+                queue.append(dst)
+    return out
+
+
+def test_step_matches_the_reference_closure():
+    def machine(transitions):
+        return NominalAutomaton({"a"}, 0, {q: 0 for q in "pqrst"}, "p", ["t"], transitions)
+
+    assert machine([("p", "a", "q"), ("q", "a", "r")]).deterministic
+    assert not machine([("p", "a", "q"), ("p", "a", "q")]).deterministic  # duplicated edge
+    assert not machine([("p", "a", "q"), ("p", "a", "r")]).deterministic  # two targets
+    assert not machine([("p", EPS, "q")]).deterministic
+    # Two targets on one key, and an eps chain behind one of them.
+    branching = machine(
+        [("p", "a", "q"), ("p", "a", "r"), ("q", EPS, "s"), ("s", EPS, "t"), ("r", "a", "r")]
+    )
+    assert branching.step(frozenset({"p"}), "a") == {"q", "r", "s", "t"}
+    rng = random.Random(7)
+    machines = [branching]
+    for _ in range(25):
+        compiled = am.compile(canonicalize(random_nominal(rng, size=rng.randint(3, 9))), AB)
+        determinized = am.determinize(compiled)
+        assert determinized.deterministic
+        machines += [compiled, determinized]
+    assert any(m.has_eps for m in machines)
+    for m in machines:
+        # Every token, and labels with no edge: a foreign letter, a register past n.
+        labels = list(Alphabet(m.sigma, m.n + 1).tokens()) + ["z"]
+        states = list(m.states)
+        sets = [frozenset()] + [frozenset({q}) for q in states] + [frozenset(states)]
+        sets += [frozenset(rng.sample(states, k)) for k in (2, 3) if k <= len(states)]
+        for subset in sets:
+            for label in labels:
+                assert m.step(subset, label) == _reference_step(m, subset, label), (m, subset, label)
 
 
 nominal = st.integers(0, 10**9).map(

@@ -18,9 +18,9 @@ from nlstar.learner import (
 from nlstar.oracle import EnumBound, brute_equivalence
 from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
-from nlstar.words import CLOSE, OPEN, Alphabet, is_legal
+from nlstar.words import CLOSE, OPEN, Alphabet, concat, is_legal, reg
 
-from .corpus import random_nominal
+from .corpus import corpus_targets, random_nominal
 
 AB = frozenset({"a", "b"})
 
@@ -292,6 +292,46 @@ def test_learner_only_queries_legal_words():
     words = [word for kind, word, _ in teacher.log if kind == "member"]
     assert len(words) == stats.membership_queries
     assert all(is_legal(word, alphabet) for word in words)
+
+
+def full_refill(table, teacher, labels=None):
+    """Drop every stored row and refill every label; the answer memo stays."""
+    table._states = None
+    table._rows = {}
+    for label in table.labels():
+        if not is_legal(label, table.alphabet):
+            table._rows[label] = None
+            continue
+        values = []
+        for suffix in table.e_words:
+            word = concat(label, suffix, table.alphabet)
+            if word is None:
+                values.append(Answer.BOTTOM)
+                continue
+            if word not in table._answers:
+                table._answers[word] = teacher.membership(word)
+            values.append(table._answers[word])
+        table._rows[label] = (tuple(values), reg(label))
+
+
+def test_fills_ask_the_queries_of_a_full_refill(monkeypatch):
+    targets = [worked_teacher().target]
+    targets += [am.determinize(am.compile(cne, AB)) for cne in corpus_targets(31, 40)]
+
+    def runs():
+        out = []
+        for target in targets:
+            for strategy in Strategy:
+                teacher = Teacher(target, strategy)
+                learned, stats = run_nlstar(teacher)
+                log = [(kind, am.to_json(query) if kind == "equiv" else query, answer)
+                       for kind, query, answer in teacher.log]
+                out.append((am.to_json(learned), stats, log))
+        return out
+
+    stored = runs()
+    monkeypatch.setattr(ObservationTable, "fill", full_refill)
+    assert runs() == stored
 
 
 nominal = st.integers(0, 10**9).map(
