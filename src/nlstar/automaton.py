@@ -390,7 +390,12 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     """
     if not m.deterministic:
         raise NondeterministicInputError("minimize requires a deterministic automaton")
-    d = determinize(m)  # reachable part, totalised on legal labels
+    # Refinement needs a machine total on legal labels.  Every label
+    # _validate lets through is legal at its source, so a deterministic
+    # machine with as many edges as legal labels is total already; its
+    # unreachable states fall away in the final determinize.
+    legal = sum(len(m.alphabet.tokens_at[layer]) for layer in m.layers.values())
+    d = m if len(m.transitions) == legal else determinize(m)
     delta = {(src, label): dst for src, label, dst in d.transitions}
 
     block = {q: (d.layers[q], q in d.finals) for q in d.layers}

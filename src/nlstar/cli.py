@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import automaton as am
 from . import regex as rx
@@ -59,9 +58,10 @@ def cmd_learn(args) -> int:
         sys.stdout.write(grids[-1])
     else:
         sys.stdout.write(am.to_json(learned))
-    document = asdict(stats)
-    for snapshot, grid in zip(document["rounds"], grids):
-        snapshot["table"] = grid
+    document = stats._asdict()
+    document["rounds"] = [
+        {**snapshot._asdict(), "table": grid} for snapshot, grid in zip(stats.rounds, grids)
+    ]
     sys.stderr.write(json.dumps(document, indent=2) + "\n")
     _write_log(args.log, teacher)
     if args.oracle_len is not None:

@@ -29,7 +29,7 @@ does not grow after one, ends the run with ``CounterexampleError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import automaton as am
 from .teacher import Answer, Teacher
@@ -53,16 +53,14 @@ class RoundLimitError(RuntimeError):
         self.stats = stats
 
 
-@dataclass
-class LearnConfig:
+class LearnConfig(NamedTuple):
     max_rounds: "int | None" = None
     # callback(table, hypothesis), invoked before each equivalence query;
     # the table is live and keeps mutating, so inspect it inside the call.
     on_hypothesis: "object | None" = None
 
 
-@dataclass
-class RoundSnapshot:
+class RoundSnapshot(NamedTuple):
     round: int
     s_size: int
     e_size: int
@@ -71,8 +69,7 @@ class RoundSnapshot:
     answer: str
 
 
-@dataclass
-class RunStats:
+class RunStats(NamedTuple):
     membership_queries: int
     equivalence_queries: int
     s_size: int
@@ -80,7 +77,7 @@ class RunStats:
     n: int
     cells: int
     max_counterexample_len: int
-    rounds: "list[RoundSnapshot]" = field(default_factory=list)
+    rounds: "list[RoundSnapshot]"
 
 
 class ObservationTable:

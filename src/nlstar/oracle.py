@@ -7,21 +7,28 @@ the teacher and the learner.  Desk scale only: lengths up to a dozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import automaton as am
 from . import regex as rx
 from .words import CLOSE, OPEN, is_legal
 
 
-@dataclass(frozen=True)
-class EnumBound:
-    max_len: int
-    max_depth: int
+class EnumBound(NamedTuple("EnumBound", [("max_len", int), ("max_depth", int)])):
+    """Enumeration limits: word length and binder depth, non-negative ints."""
 
-    def __post_init__(self):
-        if self.max_len < 0 or self.max_depth < 0:
-            raise ValueError("bounds must be non-negative")
+    __slots__ = ()
+
+    def __new__(cls, max_len, max_depth):
+        for field, value in (("max_len", max_len), ("max_depth", max_depth)):
+            # ``type(value) is int`` rejects bools, which isinstance counts as ints.
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{field} must be a non-negative int, got {value!r}")
+        return super().__new__(cls, max_len, max_depth)
+
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` validates too
+        return cls(*iterable)
 
 
 def enumerate_legal(sigma, bound: EnumBound):

@@ -1,6 +1,7 @@
 """Regular expressions with name binders.
 
-AST nodes are frozen dataclasses.  Expressions come in two flavours
+AST nodes are immutable ``__slots__`` classes, built positionally or by
+field name (``Sum(left, right)``).  Expressions come in two flavours
 sharing the same node types:
 
 * *nominal* expressions use identifier names (``Binder("n", Name("n"))``),
@@ -24,53 +25,106 @@ to nine ASCII digits.  Brackets and the parsed tree nest at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .words import CLOSE, OPEN, is_letter
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
+# Nodes refuse assignment, so their constructors set fields through object.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    pass
+class _Node:
+    """Immutable AST node whose fields are the names in ``__slots__``.
+
+    A node equals only a node of the same class with equal fields, so
+    ``Sum(a, b) != Concat(a, b)`` and the two stay apart as cache keys.
+    It hashes as its field tuple; the hash is kept once taken, so
+    hashing a tree again does not walk it.
+    """
+
+    __slots__ = ("_hash",)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # not taken yet
+            _set(self, "_hash", hash(self._fields()))
+            return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
 
 
-@dataclass(frozen=True)
-class Letter:
-    symbol: str
+class Empty(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: "str | int"
+class Epsilon(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
+class Letter(_Node):
+    __slots__ = ("symbol",)
+
+    def __init__(self, symbol: str):
+        _set(self, "symbol", symbol)
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: object
-    right: object
+class Name(_Node):
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: "str | int"):
+        _set(self, "ident", ident)
 
 
-@dataclass(frozen=True)
-class Star:
-    body: object
+class Sum(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Binder:
-    name: "str | int"
-    body: object
+class Concat(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Star(_Node):
+    __slots__ = ("body",)
+
+    def __init__(self, body):
+        _set(self, "body", body)
+
+
+class Binder(_Node):
+    __slots__ = ("name", "body")
+
+    def __init__(self, name: "str | int", body):
+        _set(self, "name", name)
+        _set(self, "body", body)
 
 
 class RegexSyntaxError(ValueError):

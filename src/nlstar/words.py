@@ -23,7 +23,6 @@ the bare and the decorated spelling.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -55,20 +54,39 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """Token alphabet: letters plus, when ``n > 0``, binders and registers 1..n."""
+    """Token alphabet: letters plus, when ``n > 0``, binders and registers 1..n.
 
-    sigma: frozenset
-    n: int = 0
+    Immutable; equal and hashed by ``(sigma, n)``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", frozenset(self.sigma))
-        if self.n < 0:
-            raise ValueError("register bound must be non-negative")
-        for letter in self.sigma:
+    def __init__(self, sigma, n=0):
+        sigma = frozenset(sigma)
+        # ``type(n) is int`` rejects bools, which isinstance counts as ints.
+        if type(n) is not int or n < 0:
+            raise ValueError(f"register bound n must be a non-negative int, got {n!r}")
+        for letter in sigma:
             if not is_letter(letter):
                 raise ValueError(f"invalid letter {letter!r}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.sigma, self.n) == (other.sigma, other.n)
+
+    def __hash__(self):
+        return hash((self.sigma, self.n))
+
+    def __repr__(self):
+        return f"Alphabet(sigma={self.sigma!r}, n={self.n!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def tokens(self) -> tuple:
         """All tokens in the fixed scan order: letters, registers, OPEN, CLOSE."""

@@ -333,6 +333,32 @@ def test_minimize_deep_nesting_is_fast(text):
     assert am.isomorphic(am.minimize(mini), mini)
 
 
+@pytest.mark.parametrize("cne", [WORKED, E_HAT])
+def test_minimize_total_input_skips_first_determinize(cne, monkeypatch):
+    det = am.determinize(am.compile(cne, AB))
+    # The same total machine under other names, plus an unreachable copy.
+    renamed = {q: f"s{len(det.layers) - i}" for i, q in enumerate(det.layers)}
+    unreachable = {q: f"u{i}" for i, q in enumerate(det.layers)}
+    total = NominalAutomaton(
+        det.sigma,
+        det.n,
+        {name[q]: layer for name in (unreachable, renamed) for q, layer in det.layers.items()},
+        renamed[det.initial],
+        [name[q] for name in (renamed, unreachable) for q in det.finals],
+        [(name[s], label, name[d]) for name in (unreachable, renamed) for s, label, d in det.transitions],
+    )
+    calls = []
+    determinize = am.determinize
+    monkeypatch.setattr(am, "determinize", lambda m: calls.append(m) or determinize(m))
+    assert am.to_json(am.minimize(total)) == am.to_json(am.minimize(det))
+    assert len(calls) == 2  # only the final one of each minimize
+    # A deterministic machine with a missing edge is totalised first.
+    partial = NominalAutomaton(det.sigma, det.n, det.layers, det.initial, det.finals, det.transitions[1:])
+    calls.clear()
+    assert am.equivalence(am.minimize(partial), partial) is None
+    assert len(calls) == 2
+
+
 def test_minimize_rejects_nondeterministic():
     with pytest.raises(NondeterministicInputError):
         am.minimize(am.compile(WORKED, AB))

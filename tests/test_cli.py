@@ -194,3 +194,16 @@ def test_learn_bytes_match_golden(name, tmp_path):
     assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     assert proc.stderr == (GOLDEN / f"{name}.stderr").read_bytes()
     assert log.read_bytes() == (GOLDEN / f"{name}.log").read_bytes()
+
+
+def test_import_loads_no_dataclasses_machinery():
+    # Every CLI call and bench pass pays for the cold import.
+    probe = (
+        "import sys; before = set(sys.modules); import nlstar; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, check=True, env=CHILD_ENV, text=True
+    ).stdout.split()
+    assert "nlstar" in loaded
+    assert not {"dataclasses", "inspect", "ast"} & set(loaded)

@@ -13,8 +13,15 @@ AB = frozenset({"a", "b"})
 
 
 def test_enum_bound_validates():
-    with pytest.raises(ValueError):
-        EnumBound(-1, 0)
+    # Each bound is a non-negative, non-bool int, and the error names it.
+    for bad in (-1, True, 2.5, "2"):
+        with pytest.raises(ValueError, match="max_len"):
+            EnumBound(bad, 0)
+        with pytest.raises(ValueError, match="max_depth"):
+            EnumBound(2, bad)
+    assert EnumBound(max_len=2, max_depth=0) == EnumBound(2, 0)
+    with pytest.raises(ValueError, match="max_len"):
+        EnumBound(2, 0)._replace(max_len=-1)
 
 
 def test_enumerate_single_letter_depth_one():

@@ -33,6 +33,46 @@ from .corpus import random_nominal
 AB = frozenset({"a", "b"})
 E_HAT = "<n. <m.m>* n <k.k*> n>"
 
+# (class, field values by name, repr of the node built from them)
+NODES = [
+    (Empty, {}, "Empty()"),
+    (Epsilon, {}, "Epsilon()"),
+    (Letter, {"symbol": "a"}, "Letter(symbol='a')"),
+    (Name, {"ident": 1}, "Name(ident=1)"),
+    (Sum, {"left": Letter("a"), "right": Epsilon()}, "Sum(left=Letter(symbol='a'), right=Epsilon())"),
+    (Concat, {"left": Letter("a"), "right": Epsilon()}, "Concat(left=Letter(symbol='a'), right=Epsilon())"),
+    (Star, {"body": Name(1)}, "Star(body=Name(ident=1))"),
+    (Binder, {"name": 1, "body": Name(1)}, "Binder(name=1, body=Name(ident=1))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", NODES, ids=[cls.__name__ for cls, _, _ in NODES])
+def test_node_is_an_immutable_value(cls, fields, text):
+    node = cls(*fields.values())
+    assert node == cls(**fields) and hash(node) == hash(cls(**fields))
+    assert hash(node) == hash(tuple(fields.values()))
+    assert [getattr(node, name) for name in fields] == list(fields.values())
+    assert repr(node) == text
+    # A node of another class with the same fields is a different node.
+    for other, other_fields, _ in NODES:
+        if other is not cls and len(other_fields) == len(fields):
+            assert node != other(*fields.values())
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+
+
+def test_node_classes_stay_apart():
+    assert repr(parse_regex("ab<n.n*>", AB)) == (
+        "Concat(left=Concat(left=Letter(symbol='a'), right=Letter(symbol='b')), "
+        "right=Binder(name='n', body=Star(body=Name(ident='n'))))"
+    )
+    # denote_bounded memoises on nodes: equal fields must not share an entry.
+    assert denote_bounded(Sum(Letter("a"), Epsilon()), 2) == {(), ("a",)}
+    assert denote_bounded(Concat(Letter("a"), Epsilon()), 2) == {("a",)}
+
 
 def test_parse_worked_target():
     node = parse_regex("a b <n. n*>", AB)

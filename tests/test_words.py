@@ -51,8 +51,24 @@ def test_tokens_at_matches_the_reference_enumeration(sigma, n):
 def test_alphabet_rejects_bad_letters():
     with pytest.raises(ValueError):
         Alphabet({"A"}, 0)
-    with pytest.raises(ValueError):
-        Alphabet({"a"}, -1)
+    # The register bound is a non-bool int, and the error names it.
+    for bad in (-1, True, 1.5, "1", None):
+        with pytest.raises(ValueError, match="bound n must be"):
+            Alphabet({"a"}, bad)
+
+
+def test_alphabet_is_an_immutable_value():
+    alphabet = Alphabet({"b", "a"}, 1)
+    same = Alphabet(sigma=frozenset({"a", "b"}), n=1)
+    assert alphabet == same and hash(alphabet) == hash(same) == hash((same.sigma, 1))
+    assert alphabet != Alphabet({"a", "b"}, 2)
+    assert alphabet != (frozenset({"a", "b"}), 1)
+    assert Alphabet({"a"}) == Alphabet({"a"}, 0)
+    assert repr(Alphabet({"a"}, 1)) == "Alphabet(sigma=frozenset({'a'}), n=1)"
+    for field in ("sigma", "n", "tokens_at"):
+        with pytest.raises(AttributeError):
+            setattr(alphabet, field, None)
+    assert alphabet.tokens_at is alphabet.tokens_at
 
 
 def test_is_legal_close_without_open():
