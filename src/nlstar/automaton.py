@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import regex as rx
-from .words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, is_letter
+from .words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, is_letter, letter_set
 
 
 class _EpsLabel:
@@ -63,8 +63,9 @@ class Strategy(Enum):
 # How far each label moves the layer; every label not listed keeps it.
 _SHIFT = {OPEN: 1, CLOSE: -1}
 
-# Machines with equal letters and bound share one Alphabet and its token lists.
-_alphabet = lru_cache(Alphabet)
+# ``_shared(a)`` is the first Alphabet equal to ``a``: machines with equal
+# letters and bound share one Alphabet and its token lists.
+_shared = lru_cache(lambda alphabet: alphabet)
 
 _NOWHERE = frozenset()
 
@@ -91,14 +92,16 @@ class NominalAutomaton:
     """
 
     def __init__(self, sigma, n, layers, initial, finals, transitions):
-        self.sigma = frozenset(sigma)
-        self.n = n
+        try:
+            self.alphabet = _shared(Alphabet(sigma, n))
+        except ValueError as exc:
+            raise InvalidAutomatonError(str(exc)) from exc
+        self.sigma, self.n = self.alphabet.sigma, self.alphabet.n
         self.layers = dict(layers)
         self.initial = initial
         self.finals = frozenset(finals)
         self.transitions = tuple(tuple(t) for t in transitions)
         self._validate()
-        self.alphabet = _alphabet(self.sigma, self.n)
         # Raw silent successors, kept only to build closures.
         self._eps = {}
         targets = {}
@@ -118,12 +121,6 @@ class NominalAutomaton:
         }
 
     def _validate(self):
-        # ``type(x) is int`` rejects bools, which isinstance counts as ints.
-        if type(self.n) is not int or self.n < 0:
-            raise InvalidAutomatonError(f"n must be a non-negative int, got {self.n!r}")
-        for letter in self.sigma:
-            if not is_letter(letter):
-                raise InvalidAutomatonError(f"sigma holds an invalid letter {letter!r}")
         for state, layer in self.layers.items():
             if not isinstance(state, str):
                 raise InvalidAutomatonError(f"state ids must be strings, got {state!r}")
@@ -203,12 +200,9 @@ def compile(cne, sigma=None) -> NominalAutomaton:
     if not rx.is_canonical(cne):
         raise rx.NotCanonicalError(f"not canonical: {rx.format_regex(cne)}")
     used = rx.letters_of(cne)
-    if sigma is None:
-        sigma = used
-    else:
-        sigma = frozenset(sigma)
-        if not used <= sigma:
-            raise ValueError(f"expression uses letters outside sigma: {sorted(used - sigma)}")
+    sigma = used if sigma is None else letter_set(sigma)
+    if not used <= sigma:
+        raise ValueError(f"expression uses letters outside sigma: {sorted(used - sigma)}")
 
     layers = {}
     transitions = []
@@ -343,7 +337,7 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
         raise AlphabetMismatchError(
             f"letter alphabets differ: {sorted(m1.sigma)} vs {sorted(m2.sigma)}"
         )
-    alphabet = _alphabet(m1.sigma, max(m1.n, m2.n))
+    alphabet = _shared(Alphabet(m1.sigma, max(m1.n, m2.n)))
 
     # Nodes are (states1, states2, layer, max-layer-so-far): the state
     # sets each machine reaches, whose empty sets are told apart by the

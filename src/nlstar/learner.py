@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from . import automaton as am
 from .teacher import Answer, Teacher
-from .words import Alphabet, IllegalWordError, depth, prefixes, serialize_word, summarize
+from .words import Alphabet, IllegalWordError, depth, letter_set, prefixes, serialize_word, summarize
 
 
 class NotClosedOrConsistentError(ValueError):
@@ -84,7 +84,7 @@ class ObservationTable:
     """(S, E, T) over the current token alphabet, with per-row register counts."""
 
     def __init__(self, sigma):
-        self.sigma = frozenset(sigma)
+        self.sigma = letter_set(sigma)
         self.s_words = [()]
         self.e_words = [()]
         self._columns = {(): 0}  # suffix -> its index in e_words

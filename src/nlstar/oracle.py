@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from . import automaton as am
 from . import regex as rx
-from .words import CLOSE, OPEN, is_legal
+from .words import CLOSE, OPEN, check_count, is_legal, letter_set
 
 
 class EnumBound(NamedTuple("EnumBound", [("max_len", int), ("max_depth", int)])):
@@ -20,11 +20,7 @@ class EnumBound(NamedTuple("EnumBound", [("max_len", int), ("max_depth", int)]))
     __slots__ = ()
 
     def __new__(cls, max_len, max_depth):
-        for field, value in (("max_len", max_len), ("max_depth", max_depth)):
-            # ``type(value) is int`` rejects bools, which isinstance counts as ints.
-            if type(value) is not int or value < 0:
-                raise ValueError(f"{field} must be a non-negative int, got {value!r}")
-        return super().__new__(cls, max_len, max_depth)
+        return super().__new__(cls, check_count(max_len, "max_len"), check_count(max_depth, "max_depth"))
 
     @classmethod
     def _make(cls, iterable):  # so ``_replace`` validates too
@@ -35,7 +31,7 @@ def enumerate_legal(sigma, bound: EnumBound):
     """All legal words with length <= max_len and depth <= max_depth,
     shortest first and lexicographic in the fixed token order within a
     length.  Every prefix of an emitted word is emitted too."""
-    letters = sorted(sigma)
+    letters = sorted(letter_set(sigma))
     out = [()]
     level = [((), 0)]  # (word, open count)
     for _ in range(bound.max_len):

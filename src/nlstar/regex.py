@@ -18,16 +18,17 @@ Text grammar (precedence: star > juxtaposition > '+')::
 Adjacent letters may be written without spaces when they split uniquely
 into declared alphabet letters ("ab" over sigma={a,b}).  Numbers are one
 to nine ASCII digits.  Brackets and the parsed tree nest at most
-``MAX_NESTING`` levels deep, so the recursive walks fit Python's stack;
-``canonicalize`` and ``is_canonical`` (so ``compile`` and
-``denote_bounded``) hold trees built in code to the same limit.
+``MAX_NESTING`` levels deep, so the recursive walks fit Python's stack.
+Every public walk (so ``compile`` and ``denote_bounded`` too) holds a
+tree built in code to the same limit and raises ``TreeTooDeepError``
+above it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .words import CLOSE, OPEN, is_letter
+from .words import CLOSE, OPEN, letter_set
 
 
 # Nodes refuse assignment, so their constructors set fields through object.
@@ -257,9 +258,7 @@ class _Parser:
 
     def _starts_atom(self):
         kind, value, _ = self.peek()
-        if kind in ("ident", "int"):
-            return True
-        return kind == "sym" and value in ("<", "(")
+        return kind in ("ident", "int") or (kind == "sym" and value in ("<", "("))
 
     def postfix(self):
         node, height = self.atom()
@@ -308,11 +307,7 @@ class _Parser:
 
 def parse_regex(text: str, sigma):
     """Parse ``text`` over the declared letter set ``sigma``."""
-    sigma = frozenset(sigma)
-    for letter in sigma:
-        if not is_letter(letter):
-            raise ValueError(f"invalid letter {letter!r}")
-    return _Parser(_lex(text), sigma, len(text)).parse()
+    return _Parser(_lex(text), letter_set(sigma), len(text)).parse()
 
 
 def infer_sigma(text: str) -> frozenset:
@@ -325,28 +320,28 @@ def infer_sigma(text: str) -> frozenset:
             nkind, nvalue, _ = toks[i + 1]
             if nkind == "ident":
                 names.add(nvalue)
-    sigma = set()
-    for i, (kind, value, at) in enumerate(toks):
+    letters = set()
+    for kind, value, at in toks:
         if kind != "ident" or value in names or value == "eps":
-            continue
-        if i > 0 and toks[i - 1][0] == "sym" and toks[i - 1][1] == "<":
             continue
         for ch in value:
             if not ("a" <= ch <= "z"):
                 raise RegexSyntaxError(
                     f"cannot infer single-char letters from {value!r}", at
                 )
-            sigma.add(ch)
-    clash = sigma & names
+            letters.add(ch)
+    clash = letters & names
     if clash:
         raise RegexSyntaxError(f"names {sorted(clash)} collide with inferred letters", 0)
-    return frozenset(sigma)
+    return frozenset(letters)
 
 
 # ---------------------------------------------------------------------------
 # structural queries
 
 def free_names(node) -> frozenset:
+    _check_height(node)
+
     def walk(node, bound):
         if isinstance(node, Name):
             return frozenset() if node.ident in bound else frozenset([node.ident])
@@ -400,8 +395,7 @@ def canonicalize(node):
     node; only binder names and references change.  A tree deeper than
     ``MAX_NESTING`` levels raises ``TreeTooDeepError``.
     """
-    _check_height(node)
-    missing = free_names(node)
+    missing = free_names(node)  # checks the height first
     if missing:
         raise FreeNameError(f"expression has free names: {sorted(map(str, missing))}")
 
@@ -443,17 +437,23 @@ def is_canonical(node) -> bool:
 
 def theta(node) -> int:
     """Binder-nesting depth bound of an expression."""
-    if isinstance(node, (Sum, Concat)):
-        return max(theta(node.left), theta(node.right))
-    if isinstance(node, Star):
-        return theta(node.body)
-    if isinstance(node, Binder):
-        return 1 + theta(node.body)
-    return 0
+    _check_height(node)
+
+    def walk(node):
+        if isinstance(node, (Sum, Concat)):
+            return max(walk(node.left), walk(node.right))
+        if isinstance(node, Star):
+            return walk(node.body)
+        if isinstance(node, Binder):
+            return 1 + walk(node.body)
+        return 0
+
+    return walk(node)
 
 
 def format_regex(node) -> str:
     """Render an expression; canonical trees print with integer names."""
+    _check_height(node)
 
     def fmt(node, prec):
         if isinstance(node, Empty):
@@ -496,9 +496,7 @@ def denote_bounded(cne, max_len: int) -> frozenset:
 
 @lru_cache(maxsize=65536)
 def _denote(node, max_len):
-    if max_len < 0:
-        return frozenset()
-    if isinstance(node, Empty):
+    if max_len < 0 or isinstance(node, Empty):
         return frozenset()
     if isinstance(node, Epsilon):
         return frozenset([()])

@@ -54,6 +54,26 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
+def letter_set(sigma) -> frozenset:
+    """The letter set ``sigma``, a collection of letters (set, list, tuple,
+    ...), as a frozenset; a string or any other value raises ``ValueError``."""
+    if isinstance(sigma, str) or not hasattr(sigma, "__iter__"):
+        raise ValueError(f"sigma must be a collection of letters, not {sigma!r}")
+    sigma = tuple(sigma)
+    for letter in sigma:  # before hashing, so an unhashable item is a ValueError too
+        if not is_letter(letter):
+            raise ValueError(f"sigma holds an invalid letter {letter!r}")
+    return frozenset(sigma)
+
+
+def check_count(value, name: str) -> int:
+    """``value`` if it is a non-negative int, else a ``ValueError`` naming
+    ``name``; ``type(value) is int`` rejects bools, which isinstance admits."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+    return value
+
+
 class Alphabet:
     """Token alphabet: letters plus, when ``n > 0``, binders and registers 1..n.
 
@@ -61,15 +81,8 @@ class Alphabet:
     """
 
     def __init__(self, sigma, n=0):
-        sigma = frozenset(sigma)
-        # ``type(n) is int`` rejects bools, which isinstance counts as ints.
-        if type(n) is not int or n < 0:
-            raise ValueError(f"register bound n must be a non-negative int, got {n!r}")
-        for letter in sigma:
-            if not is_letter(letter):
-                raise ValueError(f"invalid letter {letter!r}")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sigma", letter_set(sigma))
+        object.__setattr__(self, "n", check_count(n, "register bound n"))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -90,11 +103,9 @@ class Alphabet:
 
     def tokens(self) -> tuple:
         """All tokens in the fixed scan order: letters, registers, OPEN, CLOSE."""
-        out = list(sorted(self.sigma))
+        out = sorted(self.sigma)
         if self.n > 0:
-            out.extend(range(1, self.n + 1))
-            out.append(OPEN)
-            out.append(CLOSE)
+            out += [*range(1, self.n + 1), OPEN, CLOSE]
         return tuple(out)
 
     @cached_property

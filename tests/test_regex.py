@@ -20,6 +20,7 @@ from nlstar.regex import (
     canonicalize,
     denote_bounded,
     format_regex,
+    free_names,
     infer_sigma,
     is_canonical,
     is_closed,
@@ -165,7 +166,9 @@ def chain(wrap, height):
 
 
 @pytest.mark.parametrize(
-    "wrap", [lambda t: Concat(t, Letter("b")), lambda t: Binder("n", t)], ids=["concat", "binder"]
+    "wrap",
+    [lambda t: Concat(t, Letter("b")), lambda t: Binder("n", t), Star],
+    ids=["concat", "binder", "star"],
 )
 def test_canonicalize_holds_trees_built_in_code_to_the_parser_limit(wrap):
     assert canonicalize(chain(wrap, MAX_NESTING)) is not None
@@ -175,11 +178,19 @@ def test_canonicalize_holds_trees_built_in_code_to_the_parser_limit(wrap):
 
 @pytest.mark.parametrize(
     "use",
-    [lambda cne: compile_regex(cne, AB), lambda cne: denote_bounded(cne, 5)],
-    ids=["compile", "denote_bounded"],
+    [
+        lambda cne: compile_regex(cne, AB),
+        lambda cne: denote_bounded(cne, 5),
+        theta,
+        format_regex,
+        free_names,
+        is_closed,
+    ],
+    ids=["compile", "denote_bounded", "theta", "format_regex", "free_names", "is_closed"],
 )
 def test_canonical_trees_built_in_code_are_held_to_the_parser_limit(use):
-    # These skip canonicalize; is_canonical checks the height for them.
+    # These skip canonicalize; each checks the height itself, or through
+    # is_canonical, instead of running out of stack.
     fits, too_deep = (chain(lambda t: Concat(t, Letter("b")), h) for h in (MAX_NESTING, 3000))
     use(fits)
     with pytest.raises(TreeTooDeepError, match=f"height 3000 is over the limit {MAX_NESTING}"):

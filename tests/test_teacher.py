@@ -110,14 +110,16 @@ nominal = st.integers(0, 10**9).map(
 def test_answers_match_the_denotation(node):
     cne = canonicalize(node)
     teacher = Teacher(am.determinize(am.compile(cne, AB)))
-    for word in enumerate_legal(AB, EnumBound(4, theta(cne))):
+    words = enumerate_legal(AB, EnumBound(4, theta(cne)))
+    alphabet = Alphabet(AB, theta(cne))
+    for word in words:
         answer = teacher.membership(word)
         assert (answer is Answer.ONE) == brute_membership(cne, word)
         if answer is Answer.ZERO:
             # no extension within the probe bound reaches the language
-            for extension in enumerate_legal(AB, EnumBound(4, theta(cne))):
+            for extension in words:
                 joined = word + extension
-                if is_legal(joined, Alphabet(AB, theta(cne))):
+                if is_legal(joined, alphabet):
                     assert not brute_membership(cne, joined)
 
 

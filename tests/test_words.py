@@ -2,7 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlstar import automaton as am
+from nlstar.learner import ObservationTable
 from nlstar.oracle import EnumBound, enumerate_legal
+from nlstar.regex import canonicalize, parse_regex
+from nlstar.teacher import Teacher
 from nlstar.words import (
     CLOSE,
     OPEN,
@@ -55,6 +59,54 @@ def test_alphabet_rejects_bad_letters():
     for bad in (-1, True, 1.5, "1", None):
         with pytest.raises(ValueError, match="bound n must be"):
             Alphabet({"a"}, bad)
+
+
+# Every entry point that takes a letter set: (name, call with sigma, a
+# comparable view of the result).  The targets use the letters a and b.
+LETTER_SET_ENTRY_POINTS = [
+    ("Alphabet", lambda sigma: Alphabet(sigma, 1), lambda alphabet: alphabet),
+    (
+        "NominalAutomaton",
+        lambda sigma: am.NominalAutomaton(sigma, 0, {"q0": 0}, "q0", ["q0"], [("q0", "a", "q0")]),
+        am.to_json,
+    ),
+    (
+        "compile",
+        lambda sigma: am.compile(canonicalize(parse_regex("<n. a n> b*", {"a", "b"})), sigma),
+        am.to_json,
+    ),
+    ("parse_regex", lambda sigma: parse_regex("ab <n. n a>", sigma), lambda node: node),
+    ("ObservationTable", ObservationTable, lambda table: table.alphabet),
+    ("enumerate_legal", lambda sigma: enumerate_legal(sigma, EnumBound(3, 1)), lambda words: words),
+    (
+        "Teacher.from_regex",
+        lambda sigma: Teacher.from_regex("<n. a n> b*", sigma),
+        lambda teacher: am.to_json(teacher.target),
+    ),
+]
+entry_point_ids = [name for name, _, _ in LETTER_SET_ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("bad", ["ab", 5, [["a"]], ["A"]], ids=["str", "int", "unhashable", "upper"])
+@pytest.mark.parametrize("call", [call for _, call, _ in LETTER_SET_ENTRY_POINTS], ids=entry_point_ids)
+def test_letter_sets_other_than_collections_of_letters_raise_value_error(call, bad):
+    # A string is not split into its characters, and an unhashable item is
+    # no TypeError: every entry point rejects the set and names sigma.
+    with pytest.raises(ValueError, match="sigma"):
+        call(bad)
+
+
+@given(st.sets(st.sampled_from(["c", "req", "x1"])), st.randoms(use_true_random=False))
+@settings(max_examples=20)
+def test_every_collection_of_the_same_letters_gives_the_same_result(extra, rng):
+    letters = ["a", "b", *extra]
+    rng.shuffle(letters)
+    for name, call, view in LETTER_SET_ENTRY_POINTS:
+        results = [
+            view(call(sigma))
+            for sigma in (letters, tuple(reversed(letters)), set(letters), frozenset(letters))
+        ]
+        assert results[1:] == results[:1] * 3, name
 
 
 def test_alphabet_is_an_immutable_value():
