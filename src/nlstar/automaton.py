@@ -82,6 +82,14 @@ def reachable_from(starts, successors):
     return seen
 
 
+def _triple(transition):
+    try:
+        src, label, dst = transition
+    except (TypeError, ValueError):  # not iterable, or not three items
+        raise InvalidAutomatonError(f"transition {transition!r} is not a (src, label, dst) triple") from None
+    return src, label, dst
+
+
 class NominalAutomaton:
     """Immutable automaton over letters, register indices and binder brackets.
 
@@ -98,9 +106,13 @@ class NominalAutomaton:
             raise InvalidAutomatonError(str(exc)) from exc
         self.sigma, self.n = self.alphabet.sigma, self.alphabet.n
         self.layers = dict(layers)
+        finals = list(finals)
+        for state in (initial, *finals):  # before anything hashes them
+            if not isinstance(state, str):
+                raise InvalidAutomatonError(f"state ids must be strings, got {state!r}")
         self.initial = initial
         self.finals = frozenset(finals)
-        self.transitions = tuple(tuple(t) for t in transitions)
+        self.transitions = tuple(map(_triple, transitions))
         self._validate()
         # Raw silent successors, kept only to build closures.
         self._eps = {}
@@ -282,26 +294,21 @@ def determinize(m: NominalAutomaton) -> NominalAutomaton:
     layer-l state every letter, every register 1..l, OPEN below layer
     ``m.n`` and CLOSE above layer 0 has exactly one successor.  Missing
     behaviour is routed to one non-accepting sink per layer, materialised
-    on demand.  Subsets never mix layers because all labels shift layers
-    uniformly.  States are numbered breadth-first in label order, so the
-    result is the canonical form that ``isomorphic`` compares.
+    on demand.  Subsets never mix layers: the constructor checks that the
+    initial state sits at layer 0, that an eps edge keeps its layer and
+    that every other label shifts it uniformly.  States are numbered
+    breadth-first in label order, so the result is the canonical form
+    that ``isomorphic`` compares.
     """
-    start = m.eps_closure([m.initial])
-    if {m.layers[q] for q in start} != {0}:
-        raise InvalidAutomatonError("initial closure mixes layers")
-
     # Keys are (subset, layer); the empty subset of a layer is its sink.
-    order = [(start, 0)]
+    order = [(m.eps_closure([m.initial]), 0)]
     ids = {order[0]: "q0"}
     transitions = []
     for key in order:  # grows while it is walked: breadth-first
         subset, layer = key
         for label in m.alphabet.tokens_at[layer]:
             nlayer = layer + _SHIFT.get(label, 0)
-            closed = m.step(subset, label)
-            if closed and {m.layers[q] for q in closed} != {nlayer}:
-                raise InvalidAutomatonError("subset mixes layers")
-            dst = (closed, nlayer)
+            dst = (m.step(subset, label), nlayer)
             if dst not in ids:
                 ids[dst] = f"q{len(ids)}"
                 order.append(dst)

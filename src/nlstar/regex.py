@@ -1,8 +1,11 @@
 """Regular expressions with name binders.
 
-AST nodes are immutable ``__slots__`` classes, built positionally or by
-field name (``Sum(left, right)``).  Expressions come in two flavours
-sharing the same node types:
+AST nodes are named tuples, built positionally or by field name
+(``Sum(left, right)``), whose equality also compares the class.  Being
+tuples, nodes have a length and iterate over their fields, and the
+field-less ``Empty()`` and ``Epsilon()`` are falsy; no code takes a
+node's truth value, its length or its items.  Expressions come in two
+flavours sharing the same node types:
 
 * *nominal* expressions use identifier names (``Binder("n", Name("n"))``),
 * *canonical* expressions use integer register levels: the binder at
@@ -26,106 +29,58 @@ above it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .words import CLOSE, OPEN, letter_set
 
 
-# Nodes refuse assignment, so their constructors set fields through object.
-_set = object.__setattr__
-
-
 class _Node:
-    """Immutable AST node whose fields are the names in ``__slots__``.
+    """Base of the AST node named tuples: a node equals only a node of the
+    same class with equal fields, so ``Sum(a, b) != Concat(a, b)`` and the
+    two stay apart as cache keys.  It hashes as its field tuple."""
 
-    A node equals only a node of the same class with equal fields, so
-    ``Sum(a, b) != Concat(a, b)`` and the two stay apart as cache keys.
-    It hashes as its field tuple; the hash is kept once taken, so
-    hashing a tree again does not walk it.
-    """
-
-    __slots__ = ("_hash",)
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+    __slots__ = ()
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # not taken yet
-            _set(self, "_hash", hash(self._fields()))
-            return self._hash
+    def __ne__(self, other):  # tuple.__ne__ would not look at the class
+        return not self == other
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._fields()
+    __hash__ = tuple.__hash__
 
 
-class Empty(_Node):
+class Empty(_Node, namedtuple("Empty", "")):
     __slots__ = ()
 
 
-class Epsilon(_Node):
+class Epsilon(_Node, namedtuple("Epsilon", "")):
     __slots__ = ()
 
 
-class Letter(_Node):
-    __slots__ = ("symbol",)
-
-    def __init__(self, symbol: str):
-        _set(self, "symbol", symbol)
+class Letter(_Node, namedtuple("Letter", "symbol")):
+    __slots__ = ()
 
 
-class Name(_Node):
-    __slots__ = ("ident",)
-
-    def __init__(self, ident: "str | int"):
-        _set(self, "ident", ident)
+class Name(_Node, namedtuple("Name", "ident")):  # ident: str name or int level
+    __slots__ = ()
 
 
-class Sum(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
+class Sum(_Node, namedtuple("Sum", "left right")):
+    __slots__ = ()
 
 
-class Concat(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
+class Concat(_Node, namedtuple("Concat", "left right")):
+    __slots__ = ()
 
 
-class Star(_Node):
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        _set(self, "body", body)
+class Star(_Node, namedtuple("Star", "body")):
+    __slots__ = ()
 
 
-class Binder(_Node):
-    __slots__ = ("name", "body")
-
-    def __init__(self, name: "str | int", body):
-        _set(self, "name", name)
-        _set(self, "body", body)
+class Binder(_Node, namedtuple("Binder", "name body")):  # name: str or int level
+    __slots__ = ()
 
 
 class RegexSyntaxError(ValueError):

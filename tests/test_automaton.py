@@ -84,6 +84,17 @@ def test_layer_rules_enforced():
         NominalAutomaton(AB, 1, {"q0": False}, "q0", [], [])
     with pytest.raises(InvalidAutomatonError, match="label"):
         NominalAutomaton(AB, 1, {"q0": 0}, "q0", [], [("q0", True, "q0")])
+    # An eps edge keeps its layer, so no subset of determinize mixes layers.
+    with pytest.raises(InvalidAutomatonError, match="layer rule"):
+        NominalAutomaton(AB, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", EPS, "q1")])
+    # State ids are checked before anything hashes them.
+    with pytest.raises(InvalidAutomatonError, match=r"strings, got \['x'\]"):
+        NominalAutomaton(AB, 0, {"q0": 0}, "q0", [["x"]], [])
+    with pytest.raises(InvalidAutomatonError, match=r"strings, got \['q0'\]"):
+        NominalAutomaton(AB, 0, {"q0": 0}, ["q0"], [], [])
+    for transition in [("q0", "a"), ("q0", "a", "q0", "q0"), 5]:
+        with pytest.raises(InvalidAutomatonError, match="not a .src, label, dst. triple"):
+            NominalAutomaton(AB, 0, {"q0": 0}, "q0", [], [transition])
 
 
 def test_compile_intro_accepts_figure_path():
@@ -439,6 +450,8 @@ def test_json_schema_errors():
         ("'transitions' must be a list", lambda doc: doc.update(transitions="")),
         ("transition entry", lambda doc: doc["transitions"][0].update(note="ignored")),
         ("transition entry", lambda doc: doc["transitions"].append(["q0", "open", "q1"])),
+        ("state ids must be strings", lambda doc: doc.update(initial=["q0"])),
+        ("state ids must be strings", lambda doc: doc.update(finals=[["q0"]])),
     ]
     for field, change in cases:
         with pytest.raises(SchemaError, match=field):

@@ -99,6 +99,13 @@ def test_learn_emit_table(capsys):
     assert "⊥" in out
 
 
+def test_learn_emit_dot(capsys):
+    assert main(["learn", "--target", "ab<n.n*>", "--emit", "dot"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("digraph")
+    assert out.count("doublecircle") == 1
+
+
 def test_grid_matches_initial_table_layout():
     table = init_table(Teacher.from_regex("ab<n.n*>", {"a", "b"}))
     assert render_grid(table) == (

@@ -18,7 +18,7 @@ from nlstar.learner import (
 from nlstar.oracle import EnumBound, brute_equivalence
 from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
-from nlstar.words import CLOSE, OPEN, Alphabet, concat, is_legal, reg
+from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, concat, is_legal, reg
 
 from .corpus import corpus_targets, random_nominal
 
@@ -147,6 +147,17 @@ def test_extension_never_returns_same_witness():
     column = table2.check_consistent()
     table2.extend_consistent(column, teacher)
     assert table2.check_consistent() != column
+
+
+def test_table_rejects_repeated_labels_and_illegal_counterexamples():
+    teacher = worked_teacher()
+    table = init_table(teacher)
+    with pytest.raises(ValueError, match="already a row label in S"):
+        table.extend_close((), teacher)
+    with pytest.raises(ValueError, match="already a column label in E"):
+        table.extend_consistent((), teacher)
+    with pytest.raises(IllegalWordError, match="illegal counterexample"):
+        table.handle_counterexample(("a", CLOSE), teacher)
 
 
 def test_illegal_labels_have_bottom_rows_and_no_state():

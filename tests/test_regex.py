@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +68,13 @@ def test_node_is_an_immutable_value(cls, fields, text):
         cls(*fields.values(), None)
 
 
+@pytest.mark.parametrize("cls, fields", [n[:2] for n in NODES], ids=[cls.__name__ for cls, _, _ in NODES])
+def test_node_survives_copy_and_pickle(cls, fields):
+    node = Binder(1, cls(*fields.values()))
+    for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert twin == node and type(twin.body) is cls
+
+
 def test_node_classes_stay_apart():
     assert repr(parse_regex("ab<n.n*>", AB)) == (
         "Concat(left=Concat(left=Letter(symbol='a'), right=Letter(symbol='b')), "
@@ -114,6 +124,14 @@ def test_parse_errors_carry_position():
         parse_regex("<a. a>", AB)  # binder name collides with a letter
     with pytest.raises(RegexSyntaxError):
         parse_regex("a ^ b", AB)
+    for text, message, position in [
+        ("(a", r"expected '\)'", 2),
+        ("<0. a>", "binder levels start at 1", 1),
+        ("<+. a>", "expected a binder name", 1),
+    ]:
+        with pytest.raises(RegexSyntaxError, match=message) as raised:
+            parse_regex(text, AB)
+        assert raised.value.position == position
 
 
 def test_is_closed():
@@ -235,6 +253,8 @@ def test_infer_sigma():
     assert infer_sigma(E_HAT) == frozenset()
     with pytest.raises(RegexSyntaxError):
         infer_sigma("<n. n> n1")
+    with pytest.raises(RegexSyntaxError, match="collide with inferred letters"):
+        infer_sigma("<a. ab>")
 
 
 nominal = st.integers(0, 10**9).map(

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlstar import automaton as am
-from nlstar.automaton import AlphabetMismatchError, Strategy
+from nlstar.automaton import AlphabetMismatchError, NondeterministicInputError, Strategy
 from nlstar.oracle import EnumBound, brute_membership, enumerate_legal
 from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
@@ -18,6 +18,12 @@ AB = frozenset({"a", "b"})
 
 def worked_teacher(strategy=Strategy.SHORTEST):
     return Teacher.from_regex("ab<n.n*>", AB, strategy)
+
+
+def test_teacher_needs_a_deterministic_target():
+    compiled = am.compile(canonicalize(parse_regex("ab<n.n*>", AB)), AB)
+    with pytest.raises(NondeterministicInputError):
+        Teacher(compiled)
 
 
 def test_membership_initial_table_values():
