@@ -14,6 +14,7 @@ language equivalence exactly decidable by a product construction.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache
 
@@ -105,11 +106,13 @@ class NominalAutomaton:
         except ValueError as exc:
             raise InvalidAutomatonError(str(exc)) from exc
         self.sigma, self.n = self.alphabet.sigma, self.alphabet.n
-        self.layers = dict(layers)
+        if not isinstance(layers, Mapping):
+            raise InvalidAutomatonError(f"layers must map state ids to layers, got {layers!r}")
         finals = list(finals)
-        for state in (initial, *finals):  # before anything hashes them
+        for state in (*layers, initial, *finals):  # before anything hashes them
             if not isinstance(state, str):
                 raise InvalidAutomatonError(f"state ids must be strings, got {state!r}")
+        self.layers = dict(layers)
         self.initial = initial
         self.finals = frozenset(finals)
         self.transitions = tuple(map(_triple, transitions))
@@ -134,8 +137,6 @@ class NominalAutomaton:
 
     def _validate(self):
         for state, layer in self.layers.items():
-            if not isinstance(state, str):
-                raise InvalidAutomatonError(f"state ids must be strings, got {state!r}")
             if type(layer) is not int or not 0 <= layer <= self.n:
                 raise InvalidAutomatonError(f"state {state}: layer {layer!r} is not an int in 0..{self.n}")
         if self.initial not in self.layers:
@@ -510,6 +511,8 @@ def from_json(text: str) -> NominalAutomaton:
         for entry in doc["states"]:
             if not isinstance(entry, dict) or set(entry) != {"id", "layer"}:
                 raise SchemaError(f"bad state entry: {entry!r}")
+            if not isinstance(entry["id"], str):
+                raise SchemaError(f"state ids must be strings, got {entry!r}")
             if entry["id"] in layers:
                 raise SchemaError(f"duplicate state id {entry['id']!r}")
             layers[entry["id"]] = entry["layer"]

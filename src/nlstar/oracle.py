@@ -1,8 +1,14 @@
-"""Brute-force ground truth, kept independent of the automaton machinery.
+"""Brute-force ground truth, kept independent of the automaton algorithms.
 
 Membership here is decided by the bounded denotation of the expression
 (pure recursion on syntax), so these checks can falsify the compiler,
-the teacher and the learner.  Desk scale only: lengths up to a dozen.
+the teacher and the learner.  A machine is read only through its own
+``eps_closure``, ``step`` and ``finals``.  Words are walked one length
+at a time, depth-first in the fixed token order, on an explicit stack
+whose entries carry a prefix's open count and machine state set: a word
+costs one ``step`` from its prefix's set, not a scan from the start
+(shorter words are walked again in each longer pass), and memory is
+O(max_len) prefixes.  Desk scale only: lengths up to a dozen.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from typing import NamedTuple
 
 from . import automaton as am
 from . import regex as rx
-from .words import CLOSE, OPEN, check_count, is_legal, letter_set
+from .words import CLOSE, OPEN, check_count, letter_set
 
 
 class EnumBound(NamedTuple("EnumBound", [("max_len", int), ("max_depth", int)])):
@@ -27,27 +33,34 @@ class EnumBound(NamedTuple("EnumBound", [("max_len", int), ("max_depth", int)]))
         return cls(*iterable)
 
 
+def _walk(sigma, bound: EnumBound, start, step):
+    """Each legal word within ``bound`` in ``enumerate_legal`` order, paired
+    with ``start`` moved through the word by ``step(value, token)``."""
+    letters = sorted(letter_set(sigma))
+    moves = []  # moves[count]: (token, open count after it), last token first
+    for count in range(bound.max_depth + 1):
+        # The fixed token order: letters, registers 1..count, OPEN, CLOSE.
+        out = [(tok, count) for tok in [*letters, *range(1, count + 1)]]
+        if count < bound.max_depth:
+            out.append((OPEN, count + 1))
+        if count > 0:
+            out.append((CLOSE, count - 1))
+        moves.append(out[::-1])
+    for length in range(bound.max_len + 1):
+        stack = [((), 0, start)]
+        while stack:
+            word, count, value = stack.pop()
+            if len(word) == length:
+                yield word, value
+            else:
+                stack.extend((word + (tok,), after, step(value, tok)) for tok, after in moves[count])
+
+
 def enumerate_legal(sigma, bound: EnumBound):
     """All legal words with length <= max_len and depth <= max_depth,
     shortest first and lexicographic in the fixed token order within a
     length.  Every prefix of an emitted word is emitted too."""
-    letters = sorted(letter_set(sigma))
-    out = [()]
-    level = [((), 0)]  # (word, open count)
-    for _ in range(bound.max_len):
-        succ = []
-        for word, count in level:
-            for letter in letters:
-                succ.append((word + (letter,), count))
-            for idx in range(1, count + 1):
-                succ.append((word + (idx,), count))
-            if count < bound.max_depth:
-                succ.append((word + (OPEN,), count + 1))
-            if count > 0:
-                succ.append((word + (CLOSE,), count - 1))
-        out.extend(word for word, _ in succ)
-        level = succ
-    return out
+    return [word for word, _ in _walk(sigma, bound, None, lambda value, tok: None)]
 
 
 def brute_membership(cne, word) -> bool:
@@ -56,15 +69,18 @@ def brute_membership(cne, word) -> bool:
 
 
 def brute_equivalence(m: am.NominalAutomaton, cne, bound: EnumBound):
-    """First enumerated word where machine and denotation disagree, or None.
+    """First word of ``enumerate_legal`` order where machine and denotation
+    disagree, or None.
 
-    Words outside the machine's alphabet (deeper nesting, foreign
-    letters) count as rejected by the machine.
+    The walk carries each prefix's eps-closed state set and moves it with
+    one ``m.step`` per word; a word is accepted when its set meets
+    ``m.finals``.  Words outside the machine's alphabet (deeper nesting,
+    foreign letters) have no edges, so they reach the empty set and count
+    as rejected.
     """
-    sigma = m.sigma | rx.letters_of(cne)
     denoted = rx.denote_bounded(cne, bound.max_len)
-    for word in enumerate_legal(sigma, bound):
-        accepted = is_legal(word, m.alphabet) and am.accepts(m, word)
-        if accepted != (word in denoted):
+    start = m.eps_closure([m.initial])
+    for word, states in _walk(m.sigma | rx.letters_of(cne), bound, start, m.step):
+        if bool(states & m.finals) != (word in denoted):
             return word
     return None

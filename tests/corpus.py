@@ -1,6 +1,7 @@
 """Deterministic random target generation, and the environment of CLI
 child processes, shared by the test modules."""
 
+import itertools
 import os
 import random
 from pathlib import Path
@@ -9,6 +10,9 @@ from nlstar import automaton as am
 from nlstar import regex as rx
 
 SIGMA = ("a", "b")
+
+# Seeds the acceptance stream, whose first 60 draws are the verify bench pool.
+ACCEPTANCE_SEED = 20250808
 
 # ``python -m nlstar.cli`` children import the package under test from
 # its source tree, whether or not the test process got it by PYTHONPATH.
@@ -42,29 +46,22 @@ def random_nominal(rng, size, names=(), depth_left=2):
     return (rx.Sum if op == "sum" else rx.Concat)(left, right)
 
 
+def draws(seed, max_theta=2):
+    """Endless seeded stream of canonical expressions of 3 to 8 AST nodes;
+    seeded with ``ACCEPTANCE_SEED`` it is the acceptance stream."""
+    rng = random.Random(seed)
+    while True:
+        yield rx.canonicalize(random_nominal(rng, size=rng.randint(3, 8), depth_left=max_theta))
+
+
 def corpus_targets(seed, count, max_theta=2, min_states=2):
-    """Canonical targets whose minimal machine has at least ``min_states``
-    states.  The floor rules out the two degenerate one-state languages,
-    for which the very first equivalence query already exceeds the
-    query budget the size bounds promise."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        node = random_nominal(rng, size=rng.randint(3, 8), depth_left=max_theta)
-        cne = rx.canonicalize(node)
-        machine = am.minimize(am.determinize(am.compile(cne, SIGMA)))
-        if am.state_count(machine) >= min_states:
-            out.append(cne)
-    return out
-
-
-def binder_free_targets(seed, count, min_states=2):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        node = random_nominal(rng, size=rng.randint(3, 8), depth_left=0)
-        cne = rx.canonicalize(node)
-        machine = am.minimize(am.determinize(am.compile(cne, SIGMA)))
-        if am.state_count(machine) >= min_states:
-            out.append(cne)
-    return out
+    """The first ``count`` draws whose minimal machine has at least
+    ``min_states`` states.  The floor rules out the two degenerate
+    one-state languages, for which the very first equivalence query
+    already exceeds the query budget the size bounds promise."""
+    kept = (
+        cne
+        for cne in draws(seed, max_theta)
+        if am.state_count(am.minimize(am.determinize(am.compile(cne, SIGMA)))) >= min_states
+    )
+    return list(itertools.islice(kept, count))

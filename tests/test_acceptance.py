@@ -22,10 +22,9 @@ from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
 from nlstar.words import CLOSE, OPEN, concat, is_legal, parse_word, reg
 
-from .corpus import CHILD_ENV, SIGMA, binder_free_targets, corpus_targets
+from .corpus import ACCEPTANCE_SEED, CHILD_ENV, SIGMA, corpus_targets
 
 AB = frozenset(SIGMA)
-CORPUS_SEED = 20250808
 BINDER_FREE_SEED = 97
 WORKED_TEXT = "ab<n.n*>"
 INTRO_TEXT = "<n. <m.m>* n <k.k*> n>"
@@ -113,7 +112,7 @@ def intro_run():
 @pytest.fixture(scope="module")
 def corpus_runs():
     runs = []
-    for cne in corpus_targets(seed=CORPUS_SEED, count=20):
+    for cne in corpus_targets(seed=ACCEPTANCE_SEED, count=20):
         compiled = am.compile(cne, AB)
         target_machine = am.determinize(compiled)
         minimal_states = am.state_count(am.minimize(target_machine))
@@ -190,7 +189,7 @@ def test_criterion_4_complexity_bounds(corpus_runs):
 
 def test_criterion_5_classical_degeneration():
     with criterion(5, "binder-free targets degenerate to classic learning"):
-        for cne in binder_free_targets(seed=BINDER_FREE_SEED, count=10):
+        for cne in corpus_targets(seed=BINDER_FREE_SEED, count=10, max_theta=0):
             target_machine = am.determinize(am.compile(cne, AB))
             minimal = am.minimize(target_machine)
             teacher, learned, stats, _ = learn_with_audit(target_machine)

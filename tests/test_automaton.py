@@ -92,6 +92,13 @@ def test_layer_rules_enforced():
         NominalAutomaton(AB, 0, {"q0": 0}, "q0", [["x"]], [])
     with pytest.raises(InvalidAutomatonError, match=r"strings, got \['q0'\]"):
         NominalAutomaton(AB, 0, {"q0": 0}, ["q0"], [], [])
+    with pytest.raises(InvalidAutomatonError, match=r"strings, got 5"):
+        NominalAutomaton(AB, 0, {"q0": 0, 5: 0}, "q0", [], [])
+    # So is the layers mapping itself.
+    with pytest.raises(InvalidAutomatonError, match=r"map state ids to layers, got \[\(\['x'\], 0\)\]"):
+        NominalAutomaton(AB, 0, [(["x"], 0)], "q0", [], [])
+    with pytest.raises(InvalidAutomatonError, match="map state ids to layers, got 5"):
+        NominalAutomaton(AB, 0, 5, "q0", [], [])
     for transition in [("q0", "a"), ("q0", "a", "q0", "q0"), 5]:
         with pytest.raises(InvalidAutomatonError, match="not a .src, label, dst. triple"):
             NominalAutomaton(AB, 0, {"q0": 0}, "q0", [], [transition])
@@ -452,6 +459,11 @@ def test_json_schema_errors():
         ("transition entry", lambda doc: doc["transitions"].append(["q0", "open", "q1"])),
         ("state ids must be strings", lambda doc: doc.update(initial=["q0"])),
         ("state ids must be strings", lambda doc: doc.update(finals=[["q0"]])),
+        # an unhashable id is named with its entry, before the duplicate test hashes it
+        (
+            r"state ids must be strings, got \{'id': \['x'\], 'layer': 0\}",
+            lambda doc: doc["states"].append({"id": ["x"], "layer": 0}),
+        ),
     ]
     for field, change in cases:
         with pytest.raises(SchemaError, match=field):

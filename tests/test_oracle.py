@@ -1,4 +1,7 @@
+import random
+import sys
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -6,8 +9,10 @@ from hypothesis import strategies as st
 
 from nlstar import automaton as am
 from nlstar.oracle import EnumBound, brute_equivalence, brute_membership, enumerate_legal
-from nlstar.regex import Epsilon, canonicalize, parse_regex
-from nlstar.words import CLOSE, OPEN, prefixes
+from nlstar.regex import Epsilon, canonicalize, denote_bounded, letters_of, parse_regex, theta
+from nlstar.words import CLOSE, OPEN, is_legal, letter_set, prefixes
+
+from .corpus import ACCEPTANCE_SEED, SIGMA, draws
 
 AB = frozenset({"a", "b"})
 
@@ -100,3 +105,94 @@ def test_brute_equivalence_detects_planted_difference():
     good = canonicalize(parse_regex("a b", AB))
     wrong = am.compile(canonicalize(parse_regex("a b + b", AB)), AB)
     assert brute_equivalence(wrong, good, EnumBound(4, 0)) == ("b",)
+
+
+# ---------------------------------------------------------------------------
+# the walk against the scan it replaced
+
+@lru_cache(maxsize=8)
+def reference_enumerate_legal(sigma, bound):
+    """Every legal word within ``bound``, built level by level as a list."""
+    letters = sorted(letter_set(sigma))
+    out = [()]
+    level = [((), 0)]  # (word, open count)
+    for _ in range(bound.max_len):
+        succ = []
+        for word, count in level:
+            for letter in letters:
+                succ.append((word + (letter,), count))
+            for idx in range(1, count + 1):
+                succ.append((word + (idx,), count))
+            if count < bound.max_depth:
+                succ.append((word + (OPEN,), count + 1))
+            if count > 0:
+                succ.append((word + (CLOSE,), count - 1))
+        out.extend(word for word, _ in succ)
+        level = succ
+    return tuple(out)
+
+
+def reference_brute_equivalence(m, cne, bound):
+    """The first enumerated word on which a from-scratch ``is_legal`` and
+    ``accepts`` disagree with the denotation, or None."""
+    denoted = denote_bounded(cne, bound.max_len)
+    for word in reference_enumerate_legal(m.sigma | letters_of(cne), bound):
+        accepted = is_legal(word, m.alphabet) and am.accepts(m, word)
+        if accepted != (word in denoted):
+            return word
+    return None
+
+
+def test_walk_matches_the_reference_on_the_verify_pool():
+    # The bench's verify pool: the first 60 draws of the acceptance stream.
+    for cne in islice(draws(ACCEPTANCE_SEED), 60):
+        machine = am.compile(cne, SIGMA)
+        bound = EnumBound(6, theta(cne))
+        assert brute_equivalence(machine, cne, bound) == reference_brute_equivalence(machine, cne, bound)
+
+
+def test_walk_matches_the_reference_on_mismatched_pairs():
+    targets = list(islice(draws(ACCEPTANCE_SEED), 100))
+    rng = random.Random(13)
+    witnesses = 0
+    for _ in range(200):
+        left, right = rng.sample(targets, 2)
+        machine = am.compile(left, SIGMA)
+        if rng.random() < 0.5:  # and on deterministic machines without eps edges
+            machine = am.minimize(am.determinize(machine))
+        # The depth bound may exceed the machine's own register bound.
+        bound = EnumBound(6, max(theta(left), theta(right)))
+        witness = brute_equivalence(machine, right, bound)
+        assert witness == reference_brute_equivalence(machine, right, bound)
+        witnesses += witness is not None
+    assert witnesses >= 150  # 191 of the 200 pairs differ within the bound
+
+
+def test_walk_matches_the_reference_on_eps_edges_and_fewer_letters():
+    target = canonicalize(parse_regex("a* + <n. n b>", AB))
+    with_eps = am.compile(canonicalize(parse_regex("a* + <n. n a>", AB)), AB)
+    assert with_eps.has_eps
+    a_only = am.compile(canonicalize(parse_regex("a*", {"a"})))
+    assert a_only.sigma == {"a"} and a_only.n == 0
+    cases = [
+        (with_eps, target, (OPEN, 1, "a", CLOSE)),
+        (a_only, target, (OPEN, 1, "b", CLOSE)),
+    ]
+    bound = EnumBound(6, 2)
+    for machine, cne, expected in cases:
+        assert brute_equivalence(machine, cne, bound) == expected
+        assert reference_brute_equivalence(machine, cne, bound) == expected
+
+
+def test_walk_does_not_use_the_python_stack():
+    cne = canonicalize(parse_regex("a*", {"a"}))
+    machine = am.compile(cne)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        witness = brute_equivalence(machine, cne, EnumBound(300, 0))
+        words = enumerate_legal({"a"}, EnumBound(300, 0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert witness is None
+    assert words == [("a",) * length for length in range(301)]
