@@ -65,7 +65,7 @@ class Strategy(Enum):
 _SHIFT = {OPEN: 1, CLOSE: -1}
 
 # ``_shared(a)`` is the first Alphabet equal to ``a``: machines with equal
-# letters and bound share one Alphabet and its token lists.
+# letters and bound share one Alphabet and its move table.
 _shared = lru_cache(lambda alphabet: alphabet)
 
 _NOWHERE = frozenset()
@@ -117,21 +117,26 @@ class NominalAutomaton:
         self.finals = frozenset(finals)
         self.transitions = tuple(map(_triple, transitions))
         self._validate()
-        # Raw silent successors, kept only to build closures.
-        self._eps = {}
-        targets = {}
+        eps, targets, closures = {}, {}, {}
         for src, label, dst in self.transitions:
             if label is EPS:
-                self._eps.setdefault(src, []).append(dst)
+                eps.setdefault(src, []).append(dst)
             else:
                 targets.setdefault((src, label), []).append(dst)
-        self._closures = {}
+        self.has_eps = bool(eps)
         # A duplicated edge counts as two targets, so it is nondeterministic.
-        self.deterministic = not self._eps and all(len(v) == 1 for v in targets.values())
-        # _succ[(src, label)]: the eps-closed set of the key's targets; a
-        # key with one target shares that state's closure.
+        self.deterministic = not eps and all(len(v) == 1 for v in targets.values())
+
+        def closure(state):
+            if state not in closures:
+                closures[state] = frozenset(reachable_from([state], lambda q: eps.get(q, ())))
+            return closures[state]
+
+        # The eps-closed start set, and _succ[(src, label)]: the closed set of
+        # the key's targets (a key with one target shares that state's closure).
+        self.start = closure(initial)
         self._succ = {
-            key: self._closure(dsts[0]) if len(dsts) == 1 else self.eps_closure(dsts)
+            key: closure(dsts[0]) if len(dsts) == 1 else frozenset().union(*map(closure, dsts))
             for key, dsts in targets.items()
         }
 
@@ -164,24 +169,6 @@ class NominalAutomaton:
     @property
     def states(self):
         return tuple(self.layers)
-
-    @property
-    def has_eps(self):
-        return bool(self._eps)
-
-    def _closure(self, state):
-        closure = self._closures.get(state)
-        if closure is None:
-            closure = self._closures[state] = frozenset(
-                reachable_from([state], lambda q: self._eps.get(q, ()))
-            )
-        return closure
-
-    def eps_closure(self, states):
-        out = set()
-        for state in states:
-            out |= self._closure(state)
-        return frozenset(out)
 
     def step(self, states, label):
         """The eps-closed set of states one ``label`` move leads to from ``states``."""
@@ -277,7 +264,7 @@ def accepts(m: NominalAutomaton, word) -> bool:
     for the machine's alphabet."""
     if not is_legal(word, m.alphabet):
         raise IllegalWordError(f"word is not legal for this automaton: {word!r}")
-    current = m.eps_closure([m.initial])
+    current = m.start
     for tok in word:
         current = m.step(current, tok)
         if not current:
@@ -302,13 +289,12 @@ def determinize(m: NominalAutomaton) -> NominalAutomaton:
     that ``isomorphic`` compares.
     """
     # Keys are (subset, layer); the empty subset of a layer is its sink.
-    order = [(m.eps_closure([m.initial]), 0)]
+    order = [(m.start, 0)]
     ids = {order[0]: "q0"}
     transitions = []
     for key in order:  # grows while it is walked: breadth-first
         subset, layer = key
-        for label in m.alphabet.tokens_at[layer]:
-            nlayer = layer + _SHIFT.get(label, 0)
+        for label, nlayer in m.alphabet.moves[layer]:
             dst = (m.step(subset, label), nlayer)
             if dst not in ids:
                 ids[dst] = f"q{len(ids)}"
@@ -345,18 +331,20 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
         raise AlphabetMismatchError(
             f"letter alphabets differ: {sorted(m1.sigma)} vs {sorted(m2.sigma)}"
         )
-    alphabet = _shared(Alphabet(m1.sigma, max(m1.n, m2.n)))
+    alphabet = max(m1, m2, key=lambda m: m.n).alphabet
+    fresh = strategy is not Strategy.SHORTEST
 
-    # Nodes are (states1, states2, layer, max-layer-so-far): the state
-    # sets each machine reaches, whose empty sets are told apart by the
-    # layer, and the binder depth of the node's words.
-    start = (m1.eps_closure([m1.initial]), m2.eps_closure([m2.initial]), 0, 0)
+    # Nodes are (states1, states2, layer, peak): the state sets each
+    # machine reaches, whose empty sets are told apart by the layer, and,
+    # for the fresh strategies only, the binder depth of the node's words
+    # (0 otherwise, so a layer holds one node per pair of state sets).
+    start = (m1.start, m2.start, 0, 0)
     parent = {start: None}
     frontier = [start]
     while frontier:
         hits = [node for node in frontier if bool(node[0] & m1.finals) != bool(node[1] & m2.finals)]
         if hits:
-            if strategy is not Strategy.SHORTEST:
+            if fresh:
                 extreme = max if strategy is Strategy.MAX_FRESH else min
                 pick = extreme(node[3] for node in hits)
                 hits = [node for node in hits if node[3] == pick]
@@ -369,9 +357,9 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
         next_frontier = []
         for node in frontier:
             states1, states2, layer, peak = node
-            for label in alphabet.tokens_at[layer]:
-                nlayer = layer + _SHIFT.get(label, 0)
-                succ = (m1.step(states1, label), m2.step(states2, label), nlayer, max(peak, nlayer))
+            for label, nlayer in alphabet.moves[layer]:
+                peak_after = max(peak, nlayer) if fresh else 0
+                succ = (m1.step(states1, label), m2.step(states2, label), nlayer, peak_after)
                 if succ not in parent:
                     parent[succ] = (node, label)
                     next_frontier.append(succ)
@@ -396,7 +384,7 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     # _validate lets through is legal at its source, so a deterministic
     # machine with as many edges as legal labels is total already; its
     # unreachable states fall away in the final determinize.
-    legal = sum(len(m.alphabet.tokens_at[layer]) for layer in m.layers.values())
+    legal = sum(len(m.alphabet.moves[layer]) for layer in m.layers.values())
     d = m if len(m.transitions) == legal else determinize(m)
     delta = {(src, label): dst for src, label, dst in d.transitions}
 
@@ -405,7 +393,7 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
         refined = {
             q: (
                 block[q],
-                tuple(block[delta[(q, label)]] for label in d.alphabet.tokens_at[d.layers[q]]),
+                tuple(block[delta[(q, label)]] for label, _ in d.alphabet.moves[d.layers[q]]),
             )
             for q in d.layers
         }
@@ -425,7 +413,7 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     transitions = [
         (q, label, rep[block[delta[(q, label)]]])
         for q in layers
-        for label in d.alphabet.tokens_at[layers[q]]
+        for label, _ in d.alphabet.moves[layers[q]]
     ]
     quotient = NominalAutomaton(d.sigma, d.n, layers, rep[block[d.initial]], finals, transitions)
     return determinize(quotient)

@@ -3,8 +3,8 @@
 Membership here is decided by the bounded denotation of the expression
 (pure recursion on syntax), so these checks can falsify the compiler,
 the teacher and the learner.  A machine is read only through its own
-``eps_closure``, ``step`` and ``finals``.  Words are walked one length
-at a time, depth-first in the fixed token order, on an explicit stack
+``start``, ``step`` and ``finals``.  Words are walked one length at a
+time, depth-first along ``words.Alphabet.moves``, on an explicit stack
 whose entries carry a prefix's open count and machine state set: a word
 costs one ``step`` from its prefix's set, not a scan from the start
 (shorter words are walked again in each longer pass), and memory is
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import automaton as am
 from . import regex as rx
-from .words import CLOSE, OPEN, check_count, letter_set
+from .words import Alphabet, check_count
 
 
 class EnumBound(NamedTuple("EnumBound", [("max_len", int), ("max_depth", int)])):
@@ -36,16 +36,8 @@ class EnumBound(NamedTuple("EnumBound", [("max_len", int), ("max_depth", int)]))
 def _walk(sigma, bound: EnumBound, start, step):
     """Each legal word within ``bound`` in ``enumerate_legal`` order, paired
     with ``start`` moved through the word by ``step(value, token)``."""
-    letters = sorted(letter_set(sigma))
-    moves = []  # moves[count]: (token, open count after it), last token first
-    for count in range(bound.max_depth + 1):
-        # The fixed token order: letters, registers 1..count, OPEN, CLOSE.
-        out = [(tok, count) for tok in [*letters, *range(1, count + 1)]]
-        if count < bound.max_depth:
-            out.append((OPEN, count + 1))
-        if count > 0:
-            out.append((CLOSE, count - 1))
-        moves.append(out[::-1])
+    # Last move first, so the stack pops them in token order.
+    moves = [legal[::-1] for legal in Alphabet(sigma, bound.max_depth).moves]
     for length in range(bound.max_len + 1):
         stack = [((), 0, start)]
         while stack:
@@ -72,15 +64,14 @@ def brute_equivalence(m: am.NominalAutomaton, cne, bound: EnumBound):
     """First word of ``enumerate_legal`` order where machine and denotation
     disagree, or None.
 
-    The walk carries each prefix's eps-closed state set and moves it with
-    one ``m.step`` per word; a word is accepted when its set meets
-    ``m.finals``.  Words outside the machine's alphabet (deeper nesting,
-    foreign letters) have no edges, so they reach the empty set and count
-    as rejected.
+    The walk starts from ``m.start``, carries each prefix's eps-closed
+    state set and moves it with one ``m.step`` per word; a word is
+    accepted when its set meets ``m.finals``.  Words outside the
+    machine's alphabet (deeper nesting, foreign letters) have no edges,
+    so they reach the empty set and count as rejected.
     """
     denoted = rx.denote_bounded(cne, bound.max_len)
-    start = m.eps_closure([m.initial])
-    for word, states in _walk(m.sigma | rx.letters_of(cne), bound, start, m.step):
+    for word, states in _walk(m.sigma | rx.letters_of(cne), bound, m.start, m.step):
         if bool(states & m.finals) != (word in denoted):
             return word
     return None

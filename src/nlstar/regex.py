@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .words import CLOSE, OPEN, letter_set
+from .words import CLOSE, OPEN, check_count, letter_set
 
 
 class _Node:
@@ -438,7 +438,7 @@ def format_regex(node) -> str:
 # bounded denotation
 
 def denote_bounded(cne, max_len: int) -> frozenset:
-    """Exactly the denoted words of token-length <= max_len.
+    """Exactly the denoted words of token-length <= max_len, a non-negative int.
 
     Structural recursion; the star case iterates concatenation to a
     fixpoint, which terminates because only finitely many words fit the
@@ -446,7 +446,7 @@ def denote_bounded(cne, max_len: int) -> frozenset:
     """
     if not is_canonical(cne):
         raise NotCanonicalError(f"not canonical: {format_regex(cne)}")
-    return _denote(cne, max_len)
+    return _denote(cne, check_count(max_len, "max_len"))
 
 
 @lru_cache(maxsize=65536)

@@ -77,7 +77,8 @@ def check_count(value, name: str) -> int:
 class Alphabet:
     """Token alphabet: letters plus, when ``n > 0``, binders and registers 1..n.
 
-    Immutable; equal and hashed by ``(sigma, n)``.
+    ``tokens()`` is the one token order and ``moves`` the one grammar of
+    legal words.  Immutable; equal and hashed by ``(sigma, n)``.
     """
 
     def __init__(self, sigma, n=0):
@@ -109,11 +110,14 @@ class Alphabet:
         return tuple(out)
 
     @cached_property
-    def tokens_at(self) -> tuple:
-        """``tokens_at[count]`` are the tokens a legal word with ``count``
-        binders open may go on with, in ``tokens()`` order."""
-        fits = [(tok, summarize((tok,), self.sigma).fits) for tok in self.tokens()]
-        return tuple(tuple(tok for tok, fit in fits if fit(self.n, count)) for count in range(self.n + 1))
+    def moves(self) -> tuple:
+        """``moves[count]``: each token ``Summary.fits`` allows after ``count``
+        open binders, paired with the open count it leaves."""
+        scans = [(tok, summarize((tok,), self.sigma)) for tok in self.tokens()]
+        return tuple(
+            tuple((tok, count + scan.final) for tok, scan in scans if scan.fits(self.n, count))
+            for count in range(self.n + 1)
+        )
 
 
 class Summary(NamedTuple):

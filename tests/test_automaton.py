@@ -161,7 +161,7 @@ def test_determinize_totalises_on_legal_labels():
     delta = {(src, label) for src, label, _ in det.transitions}
     for state in det.states:
         layer = det.layers[state]
-        for label in det.alphabet.tokens_at[layer]:
+        for label, _ in det.alphabet.moves[layer]:
             assert (state, label) in delta
 
 
@@ -264,6 +264,15 @@ def test_equivalence_epsilon_witness():
     accepts_eps = am.compile(Epsilon(), AB)
     rejects_all = am.compile(Empty(), AB)
     assert am.equivalence(accepts_eps, rejects_all) == ()
+
+
+def test_shortest_equivalence_is_quick_at_a_large_register_bound():
+    # The shortest witness needs no binder depth in its search nodes; with
+    # it, n layers times n peaks times n labels took 2.4 s at n = 200.
+    m = NominalAutomaton({"a"}, 300, {"q0": 0}, "q0", ["q0"], [("q0", "a", "q0")])
+    started = time.monotonic()
+    assert am.equivalence(m, m, Strategy.SHORTEST) is None
+    assert time.monotonic() - started < 1.0
 
 
 def test_counterexample_strategies():

@@ -143,6 +143,19 @@ def reference_brute_equivalence(m, cne, bound):
     return None
 
 
+@pytest.mark.parametrize(
+    "sigma, bound",
+    [
+        ((), EnumBound(5, 2)),
+        (("a",), EnumBound(5, 3)),
+        (("b", "a", "c"), EnumBound(4, 1)),
+        (AB, EnumBound(3, 0)),
+    ],
+)
+def test_enumerate_legal_matches_the_reference(sigma, bound):
+    assert enumerate_legal(sigma, bound) == list(reference_enumerate_legal(sigma, bound))
+
+
 def test_walk_matches_the_reference_on_the_verify_pool():
     # The bench's verify pool: the first 60 draws of the acceptance stream.
     for cne in islice(draws(ACCEPTANCE_SEED), 60):

@@ -243,6 +243,12 @@ def test_denote_empty_star_is_epsilon():
     assert denote_bounded(canonicalize(Star(Empty())), 3) == {()}
 
 
+@pytest.mark.parametrize("bad", ["3", None, 2.5, True, -1])
+def test_denote_bounded_takes_a_non_negative_int_length(bad):
+    with pytest.raises(ValueError, match="max_len"):
+        denote_bounded(Epsilon(), bad)
+
+
 def test_denote_requires_canonical():
     with pytest.raises(NotCanonicalError):
         denote_bounded(Binder("n", Name("n")), 3)

@@ -35,21 +35,37 @@ def test_alphabet_tokens_with_binders():
     assert AB2.tokens() == ("a", "b", 1, 2, OPEN, CLOSE)
 
 
-@pytest.mark.parametrize("sigma", [(), ("a",), ("b", "a", "c")])
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_tokens_at_matches_the_reference_enumeration(sigma, n):
-    # enumerate_legal spells the token order out in its own loop; the
-    # one-token extensions of a word with ``count`` binders open are
-    # exactly the tokens legal at that count, in the same order.
-    alphabet = Alphabet(sigma, n)
-    for count in range(n + 1):
-        opened = (OPEN,) * count
-        extensions = [
-            word[-1]
-            for word in enumerate_legal(sigma, EnumBound(count + 1, n))
-            if len(word) == count + 1 and word[:count] == opened
-        ]
-        assert alphabet.tokens_at[count] == tuple(extensions)
+# Each move table written out by hand: moves[count] lists the tokens that
+# may follow ``count`` open binders, in token order, with the count after.
+@pytest.mark.parametrize(
+    "sigma, n, moves",
+    [
+        ((), 0, [[]]),
+        (("b", "a"), 0, [[("a", 0), ("b", 0)]]),
+        ((), 1, [[(OPEN, 1)], [(1, 1), (CLOSE, 0)]]),
+        (
+            ("a",),
+            2,
+            [
+                [("a", 0), (OPEN, 1)],
+                [("a", 1), (1, 1), (OPEN, 2), (CLOSE, 0)],
+                [("a", 2), (1, 2), (2, 2), (CLOSE, 1)],
+            ],
+        ),
+        (
+            ("b", "a", "c"),
+            3,
+            [
+                [("a", 0), ("b", 0), ("c", 0), (OPEN, 1)],
+                [("a", 1), ("b", 1), ("c", 1), (1, 1), (OPEN, 2), (CLOSE, 0)],
+                [("a", 2), ("b", 2), ("c", 2), (1, 2), (2, 2), (OPEN, 3), (CLOSE, 1)],
+                [("a", 3), ("b", 3), ("c", 3), (1, 3), (2, 3), (3, 3), (CLOSE, 2)],
+            ],
+        ),
+    ],
+)
+def test_moves_are_the_pinned_tables(sigma, n, moves):
+    assert Alphabet(sigma, n).moves == tuple(tuple(legal) for legal in moves)
 
 
 def test_alphabet_rejects_bad_letters():
@@ -117,10 +133,10 @@ def test_alphabet_is_an_immutable_value():
     assert alphabet != (frozenset({"a", "b"}), 1)
     assert Alphabet({"a"}) == Alphabet({"a"}, 0)
     assert repr(Alphabet({"a"}, 1)) == "Alphabet(sigma=frozenset({'a'}), n=1)"
-    for field in ("sigma", "n", "tokens_at"):
+    for field in ("sigma", "n", "moves"):
         with pytest.raises(AttributeError):
             setattr(alphabet, field, None)
-    assert alphabet.tokens_at is alphabet.tokens_at
+    assert alphabet.moves is alphabet.moves
 
 
 def test_is_legal_close_without_open():
