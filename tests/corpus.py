@@ -23,11 +23,11 @@ CHILD_ENV = {
 }
 
 
-def random_nominal(rng, size, names=(), depth_left=2):
-    """Random closed expression with at most ``size`` AST nodes and binder
-    nesting at most ``depth_left``."""
+def random_nominal(rng, size, letters=SIGMA, names=(), depth_left=2):
+    """Random closed expression over ``letters`` with at most ``size`` AST
+    nodes and binder nesting at most ``depth_left``."""
     if size <= 1:
-        pool = [rx.Epsilon()] + [rx.Letter(s) for s in SIGMA] * 2
+        pool = [rx.Epsilon()] + [rx.Letter(s) for s in letters] * 2
         pool += [rx.Name(nm) for nm in names] * 3
         pool.append(rx.Empty())
         return rng.choice(pool)
@@ -36,22 +36,23 @@ def random_nominal(rng, size, names=(), depth_left=2):
         ops += ["binder", "binder"]
     op = rng.choice(ops)
     if op == "star":
-        return rx.Star(random_nominal(rng, size - 1, names, depth_left))
+        return rx.Star(random_nominal(rng, size - 1, letters, names, depth_left))
     if op == "binder":
         name = f"x{len(names)}"
-        return rx.Binder(name, random_nominal(rng, size - 1, names + (name,), depth_left - 1))
+        return rx.Binder(name, random_nominal(rng, size - 1, letters, names + (name,), depth_left - 1))
     left_size = rng.randint(1, size - 2) if size > 2 else 1
-    left = random_nominal(rng, left_size, names, depth_left)
-    right = random_nominal(rng, size - 1 - left_size, names, depth_left)
+    left = random_nominal(rng, left_size, letters, names, depth_left)
+    right = random_nominal(rng, size - 1 - left_size, letters, names, depth_left)
     return (rx.Sum if op == "sum" else rx.Concat)(left, right)
 
 
-def draws(seed, max_theta=2):
-    """Endless seeded stream of canonical expressions of 3 to 8 AST nodes;
-    seeded with ``ACCEPTANCE_SEED`` it is the acceptance stream."""
+def draws(seed, max_theta=2, letters=SIGMA, sizes=(3, 8)):
+    """Endless seeded stream of canonical expressions whose AST sizes are
+    drawn from ``sizes``; seeded with ``ACCEPTANCE_SEED`` and the other
+    defaults it is the acceptance stream."""
     rng = random.Random(seed)
     while True:
-        yield rx.canonicalize(random_nominal(rng, size=rng.randint(3, 8), depth_left=max_theta))
+        yield rx.canonicalize(random_nominal(rng, rng.randint(*sizes), letters, depth_left=max_theta))
 
 
 def corpus_targets(seed, count, max_theta=2, min_states=2):

@@ -20,7 +20,7 @@ from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
 from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, concat, is_legal, reg
 
-from .corpus import corpus_targets, random_nominal
+from .corpus import corpus_targets, draws, random_nominal
 
 AB = frozenset({"a", "b"})
 
@@ -359,3 +359,19 @@ def test_random_targets_learned_correctly(node):
     assert am.equivalence(learned, teacher.target) is None
     assert brute_equivalence(learned, cne, EnumBound(6, theta(cne) + 1)) is None
     assert stats.n <= theta(cne)
+
+
+def test_scaled_targets_learned_correctly_by_the_brute_force_check():
+    # Differential test: six letters, theta <= 3 and 25 to 35 AST nodes,
+    # each learned machine checked against the denotation alone.
+    letters = tuple("abcdef")
+    checked = 0
+    for cne in draws(1, max_theta=3, letters=letters, sizes=(25, 35)):
+        target = am.determinize(am.compile(cne, letters))
+        if am.state_count(target) < 2:
+            continue
+        learned, _ = run_nlstar(Teacher(target))
+        assert brute_equivalence(learned, cne, EnumBound(8, theta(cne))) is None
+        checked += 1
+        if checked == 10:
+            break

@@ -107,6 +107,71 @@ def test_brute_equivalence_detects_planted_difference():
     assert brute_equivalence(wrong, good, EnumBound(4, 0)) == ("b",)
 
 
+@pytest.mark.parametrize("bound", [(3, 1), [3, 1], None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bound: brute_equivalence(am.compile(Epsilon(), AB), Epsilon(), bound),
+        lambda bound: enumerate_legal({"a"}, bound),
+    ],
+    ids=["brute_equivalence", "enumerate_legal"],
+)
+def test_a_bound_that_is_not_an_enum_bound_is_a_value_error(call, bound):
+    with pytest.raises(ValueError, match="bound must be an EnumBound"):
+        call(bound)
+
+
+class StepCounter:
+    """A machine that counts the ``step`` calls made on it."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(self.machine, name)
+
+    def step(self, states, label):
+        self.steps += 1
+        return self.machine.step(states, label)
+
+
+def test_the_walk_extends_only_prefixes_that_can_still_mismatch():
+    # The full walk makes one step per legal word: 2,408,979 of them here.
+    cne = canonicalize(parse_regex("ab<n.n*>", AB))
+    machine = StepCounter(am.compile(cne, AB))
+    assert brute_equivalence(machine, cne, EnumBound(10, 2)) is None
+    assert machine.steps < 1_000  # 284
+
+
+def test_pruning_keeps_the_witness_of_a_machine_with_only_dead_states():
+    # No final state, so every state, the non-final trap loop too, is dead.
+    trap = am.NominalAutomaton(
+        AB, 1, {"q0": 0, "trap": 0}, "q0", [],
+        [("q0", "a", "trap"), ("q0", "b", "q0"), ("trap", "a", "trap"), ("trap", "b", "trap")],
+    )
+    bound = EnumBound(6, 1)
+    for text, expected in [("0", None), ("eps", ()), ("b b <n. n>", ("b", "b", OPEN, 1, CLOSE))]:
+        cne = canonicalize(parse_regex(text, AB))
+        assert brute_equivalence(trap, cne, bound) == expected
+        assert reference_brute_equivalence(trap, cne, bound) == expected
+
+
+def test_pruning_counts_eps_edges_towards_liveness():
+    # The one path to the final state runs through eps edges: the start
+    # state q0 and the states q2, q4 have no other way out.
+    chain = am.NominalAutomaton(
+        AB, 0, {f"q{i}": 0 for i in range(6)}, "q0", ["q5"],
+        [("q0", am.EPS, "q1"), ("q1", "a", "q2"), ("q2", am.EPS, "q3"),
+         ("q3", "b", "q4"), ("q4", am.EPS, "q5")],
+    )
+    bound = EnumBound(5, 0)
+    for text, expected in [("0", ("a", "b")), ("a b", None), ("a a + a b", ("a", "a"))]:
+        cne = canonicalize(parse_regex(text, AB))
+        assert brute_equivalence(chain, cne, bound) == expected
+        assert reference_brute_equivalence(chain, cne, bound) == expected
+
+
 # ---------------------------------------------------------------------------
 # the walk against the scan it replaced
 
