@@ -440,9 +440,12 @@ def format_regex(node) -> str:
 def denote_bounded(cne, max_len: int) -> frozenset:
     """Exactly the denoted words of token-length <= max_len, a non-negative int.
 
-    Structural recursion; the star case iterates concatenation to a
-    fixpoint, which terminates because only finitely many words fit the
-    bound.  Binder bodies lose two tokens of budget for OPEN/CLOSE.
+    Structural recursion that builds no word longer than the bound:
+    ``Concat`` joins each left word u to the right words of length at most
+    ``max_len - len(u)``, and ``Star`` builds its words of each exact length
+    m as a non-empty body word followed by a star word of the length left.
+    The cost is the number of such splits of the denoted words.  Binder
+    bodies lose two tokens of budget for OPEN/CLOSE.
     """
     if not is_canonical(cne):
         raise NotCanonicalError(f"not canonical: {format_regex(cne)}")
@@ -463,22 +466,13 @@ def _denote(node, max_len):
         return _denote(node.left, max_len) | _denote(node.right, max_len)
     if isinstance(node, Concat):
         left = _denote(node.left, max_len)
-        right = _denote(node.right, max_len)
-        return frozenset(u + v for u in left for v in right if len(u) + len(v) <= max_len)
+        return frozenset(u + v for u in left for v in _denote(node.right, max_len - len(u)))
     if isinstance(node, Star):
-        base = _denote(node.body, max_len)
-        out = {()}
-        frontier = {()}
-        while frontier:
-            new = set()
-            for u in frontier:
-                for v in base:
-                    w = u + v
-                    if len(w) <= max_len and w not in out:
-                        out.add(w)
-                        new.add(w)
-            frontier = new
-        return frozenset(out)
+        body = [u for u in _denote(node.body, max_len) if u]
+        exact = [{()}]  # exact[m]: the star's words of length exactly m
+        for m in range(1, max_len + 1):
+            exact.append({u + v for u in body if len(u) <= m for v in exact[m - len(u)]})
+        return frozenset().union(*exact)
     if isinstance(node, Binder):
         inner = _denote(node.body, max_len - 2)
         return frozenset((OPEN,) + w + (CLOSE,) for w in inner)

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from nlstar.regex import (
 )
 from nlstar.words import CLOSE, OPEN, Alphabet, depth, is_legal, reg
 
-from .corpus import random_nominal
+from .corpus import ACCEPTANCE_SEED, draws, random_nominal
 
 AB = frozenset({"a", "b"})
 E_HAT = "<n. <m.m>* n <k.k*> n>"
@@ -252,6 +254,63 @@ def test_denote_bounded_takes_a_non_negative_int_length(bad):
 def test_denote_requires_canonical():
     with pytest.raises(NotCanonicalError):
         denote_bounded(Binder("n", Name("n")), 3)
+
+
+def reference_denote(node, max_len):
+    """The bounded denotation that builds every pair and drops the long
+    words after: ``Concat`` joins each left word to each right word, and
+    ``Star`` iterates concatenation to a fixpoint."""
+    if max_len < 0 or isinstance(node, Empty):
+        return frozenset()
+    if isinstance(node, Epsilon):
+        return frozenset([()])
+    if isinstance(node, Letter):
+        return frozenset([(node.symbol,)]) if max_len >= 1 else frozenset()
+    if isinstance(node, Name):
+        return frozenset([(node.ident,)]) if max_len >= 1 else frozenset()
+    if isinstance(node, Sum):
+        return reference_denote(node.left, max_len) | reference_denote(node.right, max_len)
+    if isinstance(node, Concat):
+        left = reference_denote(node.left, max_len)
+        right = reference_denote(node.right, max_len)
+        return frozenset(u + v for u in left for v in right if len(u) + len(v) <= max_len)
+    if isinstance(node, Star):
+        base = reference_denote(node.body, max_len)
+        out = {()}
+        frontier = {()}
+        while frontier:
+            new = set()
+            for u in frontier:
+                for v in base:
+                    w = u + v
+                    if len(w) <= max_len and w not in out:
+                        out.add(w)
+                        new.add(w)
+            frontier = new
+        return frozenset(out)
+    inner = reference_denote(node.body, max_len - 2)
+    return frozenset((OPEN,) + w + (CLOSE,) for w in inner)
+
+
+@pytest.mark.parametrize(
+    "seed, max_theta, sizes, max_len",
+    [(ACCEPTANCE_SEED, 2, (3, 8), 8), (16, 3, (8, 20), 7)],
+    ids=["acceptance-stream", "theta3-ast8-20"],
+)
+def test_denote_matches_the_pair_building_reference(seed, max_theta, sizes, max_len):
+    for cne in islice(draws(seed, max_theta, sizes=sizes), 300):
+        for length in range(max_len + 1):
+            assert denote_bounded(cne, length) == reference_denote(cne, length), (format_regex(cne), length)
+
+
+@pytest.mark.parametrize("text, max_len", [("((a+b)*)*", 12), ("(a+b+<n.(n+a)*>)*", 10)])
+def test_denote_dense_star_is_quick(text, max_len):
+    # Building every frontier-by-body pair before dropping the long ones
+    # took 10 s and 3 s on these.
+    cne = canonicalize(parse_regex(text, AB))
+    started = time.monotonic()
+    denote_bounded(cne, max_len)
+    assert time.monotonic() - started < 1.0
 
 
 def test_infer_sigma():
