@@ -326,6 +326,8 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     reaches it.  The path back through the parents is thus the least
     shortest word, so the witness is the first differing node of the
     level (of those with the extreme depth, for the fresh strategies).
+    Their depth-keyed search is cubic in the register bound, so it runs
+    only once the depth-free one has found that a witness exists.
     """
     if m1.sigma != m2.sigma:
         raise AlphabetMismatchError(
@@ -333,6 +335,8 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
         )
     alphabet = max(m1, m2, key=lambda m: m.n).alphabet
     fresh = strategy is not Strategy.SHORTEST
+    if fresh and equivalence(m1, m2) is None:
+        return None
 
     # Nodes are (states1, states2, layer, peak): the state sets each
     # machine reaches, whose empty sets are told apart by the layer, and,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import automaton as am
 from . import regex as rx
-from .words import Alphabet, check_count
+from .words import Alphabet, IllegalWordError, check_count
 
 
 class EnumBound(NamedTuple("EnumBound", [("max_len", int), ("max_depth", int)])):
@@ -64,7 +64,10 @@ def enumerate_legal(sigma, bound: EnumBound):
 
 
 def brute_membership(cne, word) -> bool:
-    """Denotational membership: the word occurs in the length-bounded slice."""
+    """Denotational membership: the word occurs in the length-bounded slice.
+    A string is not a word, and raises ``IllegalWordError``."""
+    if isinstance(word, str):
+        raise IllegalWordError(f"a string is not a word: {word!r}")
     return tuple(word) in rx.denote_bounded(cne, len(word))
 
 

@@ -18,21 +18,22 @@ Text grammar (precedence: star > juxtaposition > '+')::
     expr ::= '0' | 'eps' | letter | name | expr '+' expr
            | expr expr | expr '*' | '<' name '.' expr '>' | '(' expr ')'
 
-Adjacent letters may be written without spaces when they split uniquely
-into declared alphabet letters ("ab" over sigma={a,b}).  Numbers are one
-to nine ASCII digits.  Brackets and the parsed tree nest at most
-``MAX_NESTING`` levels deep, so the recursive walks fit Python's stack.
-Every public walk (so ``compile`` and ``denote_bounded`` too) holds a
-tree built in code to the same limit and raises ``TreeTooDeepError``
-above it.
+Identifiers follow the letter syntax of ``words``; adjacent letters may
+be written without spaces when they split uniquely into declared letters
+("ab" over sigma={a,b}).  Numbers are one to nine ASCII digits.  Brackets
+nest at most ``MAX_NESTING`` levels deep, and ``_check_height`` holds
+every tree, parsed or built in code, to the same height, so the recursive
+walks fit Python's stack: ``parse_regex`` reports a tree too tall as a
+``RegexSyntaxError``, every other public walk as ``TreeTooDeepError``.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .words import CLOSE, OPEN, check_count, letter_set
+from .words import _LETTER, CLOSE, OPEN, check_count, letter_set
 
 
 class _Node:
@@ -98,45 +99,35 @@ class NotCanonicalError(ValueError):
 
 
 class TreeTooDeepError(ValueError):
-    """Raised when a tree built in code is deeper than ``MAX_NESTING`` levels."""
+    """Raised when a tree is taller than ``MAX_NESTING`` levels."""
 
 
 # ---------------------------------------------------------------------------
 # lexer / parser
 
-_SYMBOLS = "<>.+*()"
 MAX_NESTING = 100
+# The last group takes any other character, so the matches tile the text.
+_TOKEN_RE = re.compile(rf"(?P<space>\s+)|(?P<sym>[<>.+*()])|(?P<int>[0-9]+)|(?P<ident>{_LETTER})|(?P<other>.)")
 
 
 def _lex(text: str):
     toks = []
-    i = depth = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _SYMBOLS:
-            depth += (ch in "(<") - (ch in ")>")
+    depth = 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, value, at = match.lastgroup, match.group(), match.start()
+        if kind == "space":
+            continue
+        if kind == "other":
+            raise RegexSyntaxError(f"unexpected character {value!r}", at)
+        if kind == "sym":
+            depth += (value in "(<") - (value in ")>")
             if depth > MAX_NESTING:
-                raise RegexSyntaxError(f"brackets nest deeper than {MAX_NESTING} levels", i)
-            toks.append(("sym", ch, i))
-            i += 1
-        elif "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > 9:
-                raise RegexSyntaxError("numbers have at most nine digits", i)
-            toks.append(("int", int(text[i:j]), i))
-            i = j
-        elif "a" <= ch <= "z":
-            j = i
-            while j < len(text) and ("0" <= text[j] <= "9" or "a" <= text[j] <= "z"):
-                j += 1
-            toks.append(("ident", text[i:j], i))
-            i = j
-        else:
-            raise RegexSyntaxError(f"unexpected character {ch!r}", i)
+                raise RegexSyntaxError(f"brackets nest deeper than {MAX_NESTING} levels", at)
+        elif kind == "int":
+            if len(value) > 9:
+                raise RegexSyntaxError("numbers have at most nine digits", at)
+            value = int(value)
+        toks.append((kind, value, at))
     return toks
 
 
@@ -160,14 +151,13 @@ def _split_letters(run: str, sigma: frozenset):
 
 
 class _Parser:
-    def __init__(self, toks, sigma, length):
-        self.toks = toks
+    def __init__(self, toks, sigma):
+        self.toks = toks  # ends in the marker (None, None, len(text)); no rule reads past it
         self.sigma = sigma
         self.pos = 0
-        self.length = length
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, self.length)
+        return self.toks[self.pos]
 
     def take(self):
         tok = self.peek()
@@ -180,69 +170,51 @@ class _Parser:
             raise RegexSyntaxError(f"expected {symbol!r}", at)
 
     def parse(self):
-        node, _ = self.sum()
+        node = self.sum()
         kind, value, at = self.peek()
         if kind is not None:
             raise RegexSyntaxError(f"unexpected {value!r}", at)
         return node
 
-    def grown(self, node, height, at):
-        """Rules return (node, height of its tree); too tall a tree is an error."""
-        if height > MAX_NESTING:
-            raise RegexSyntaxError(f"expression tree is deeper than {MAX_NESTING} levels", at)
-        return node, height
-
     def sum(self):
-        node, height = self.cat()
-        while True:
-            kind, value, at = self.peek()
-            if kind == "sym" and value == "+":
-                self.take()
-                right, right_height = self.cat()
-                node, height = self.grown(Sum(node, right), max(height, right_height) + 1, at)
-            else:
-                return node, height
+        node = self.cat()
+        while self.peek()[:2] == ("sym", "+"):
+            self.take()
+            node = Sum(node, self.cat())
+        return node
 
     def cat(self):
-        node, height = self.postfix()
+        node = self.postfix()
         while self._starts_atom():
-            at = self.peek()[2]
-            right, right_height = self.postfix()
-            node, height = self.grown(Concat(node, right), max(height, right_height) + 1, at)
-        return node, height
+            node = Concat(node, self.postfix())
+        return node
 
     def _starts_atom(self):
         kind, value, _ = self.peek()
         return kind in ("ident", "int") or (kind == "sym" and value in ("<", "("))
 
     def postfix(self):
-        node, height = self.atom()
-        while True:
-            kind, value, at = self.peek()
-            if kind == "sym" and value == "*":
-                self.take()
-                node, height = self.grown(Star(node), height + 1, at)
-            else:
-                return node, height
+        node = self.atom()
+        while self.peek()[:2] == ("sym", "*"):
+            self.take()
+            node = Star(node)
+        return node
 
     def atom(self):
         kind, value, at = self.take()
         if kind == "int":
-            return (Empty() if value == 0 else Name(value)), 1
+            return Empty() if value == 0 else Name(value)
         if kind == "ident":
             if value == "eps":
-                return Epsilon(), 1
+                return Epsilon()
             split = _split_letters(value, self.sigma)
             if split is None:
-                return Name(value), 1
-            node = Letter(split[0])
-            for sym in split[1:]:
-                node = Concat(node, Letter(sym))
-            return self.grown(node, len(split), at)
+                return Name(value)
+            return reduce(Concat, map(Letter, split))
         if kind == "sym" and value == "(":
-            node, height = self.sum()
+            node = self.sum()
             self.expect(")")
-            return node, height
+            return node
         if kind == "sym" and value == "<":
             hkind, head, hat = self.take()
             if hkind == "int":
@@ -254,15 +226,23 @@ class _Parser:
             else:
                 raise RegexSyntaxError("expected a binder name", hat)
             self.expect(".")
-            body, height = self.sum()
+            body = self.sum()
             self.expect(">")
-            return self.grown(Binder(head, body), height + 1, at)
+            return Binder(head, body)
         raise RegexSyntaxError(f"unexpected {value!r}", at)
 
 
 def parse_regex(text: str, sigma):
-    """Parse ``text`` over the declared letter set ``sigma``."""
-    return _Parser(_lex(text), letter_set(sigma), len(text)).parse()
+    """Parse ``text`` over the declared letter set ``sigma``.  The parser
+    recurses only on brackets, which ``_lex`` caps; the finished tree goes
+    through ``_check_height``, and a tree too tall is a ``RegexSyntaxError``
+    at position 0."""
+    node = _Parser([*_lex(text), (None, None, len(text))], letter_set(sigma)).parse()
+    try:
+        _check_height(node)
+    except TreeTooDeepError as exc:
+        raise RegexSyntaxError(str(exc), 0) from None
+    return node
 
 
 def infer_sigma(text: str) -> frozenset:

@@ -61,7 +61,10 @@ class Teacher:
         learner bug: the learner must mark those cells itself.
 
         The target only has edges that keep to the layer rules, so a word
-        it reads to the end is legal; ``is_legal`` judges the rest."""
+        it reads to the end is legal; ``is_legal`` judges the rest.  A
+        string is not a word: its characters would walk as letters."""
+        if isinstance(word, str):
+            raise IllegalWordError(f"membership query for a string, not a word: {word!r}")
         state = self.target.initial
         for tok in word:
             # Only str and non-bool int tokens walk: True == 1 and 1.0 == 1

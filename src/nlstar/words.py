@@ -34,7 +34,8 @@ Word = tuple[Token, ...]
 
 EPSILON: Word = ()
 
-_LETTER_RE = re.compile(r"[a-z][a-z0-9]*\Z")
+_LETTER = r"[a-z][a-z0-9]*"  # also the identifier token of expression text
+_LETTER_RE = re.compile(_LETTER + r"\Z")
 _NUMBER_RE = re.compile(r"[0-9]{1,9}\Z")
 _DECORATED_OPEN_RE = re.compile(r"<<([0-9]{1,9})\.\Z")
 
@@ -143,12 +144,15 @@ class Summary(NamedTuple):
 
 def summarize(word, sigma=frozenset()) -> "Summary | None":
     """Summary of ``word`` against the letters ``sigma``, or None when the
-    word is illegal in every context: a token is neither a string nor an
-    int (a bool is neither), or a register reference is below 1.
+    word is illegal in every context: it is a string (a word is a sequence
+    of tokens, not of characters), a token is neither a string nor an int
+    (a bool is neither), or a register reference is below 1.
 
     ``s + e`` is legal for depth ``n`` exactly when
     ``summarize(s).fits(n)`` and ``summarize(e).fits(n, summarize(s).final)``.
     """
+    if isinstance(word, str):
+        return None
     count = low = peak = need = 0
     in_sigma = True
     for tok in word:
@@ -201,7 +205,10 @@ def concat(s, e, alphabet: Alphabet):
     """``s + e`` if the result is legal for ``alphabet``, else None.
 
     None is the table-cell marker for cells that can never be queried.
+    A string is not a word, so a string part gives None too.
     """
+    if isinstance(s, str) or isinstance(e, str):
+        return None
     word = tuple(s) + tuple(e)
     if not is_legal(word, alphabet):
         return None

@@ -4,7 +4,7 @@ import time
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlstar import compile_regex
@@ -22,6 +22,7 @@ from nlstar.regex import (
     Star,
     Sum,
     TreeTooDeepError,
+    _lex,
     canonicalize,
     denote_bounded,
     format_regex,
@@ -35,6 +36,7 @@ from nlstar.regex import (
 from nlstar.words import CLOSE, OPEN, Alphabet, depth, is_legal, reg
 
 from .corpus import ACCEPTANCE_SEED, draws, random_nominal
+from .test_fuzz import REGEX_TEXT
 
 AB = frozenset({"a", "b"})
 E_HAT = "<n. <m.m>* n <k.k*> n>"
@@ -134,6 +136,83 @@ def test_parse_errors_carry_position():
         with pytest.raises(RegexSyntaxError, match=message) as raised:
             parse_regex(text, AB)
         assert raised.value.position == position
+
+
+def reference_lex(text):
+    """The lexer as hand-written character loops: whitespace, a symbol, a
+    run of ASCII digits, or a run of lowercase letters and digits."""
+    toks = []
+    i = depth = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "<>.+*()":
+            depth += (ch in "(<") - (ch in ")>")
+            if depth > MAX_NESTING:
+                raise RegexSyntaxError(f"brackets nest deeper than {MAX_NESTING} levels", i)
+            toks.append(("sym", ch, i))
+            i += 1
+        elif "0" <= ch <= "9":
+            j = i
+            while j < len(text) and "0" <= text[j] <= "9":
+                j += 1
+            if j - i > 9:
+                raise RegexSyntaxError("numbers have at most nine digits", i)
+            toks.append(("int", int(text[i:j]), i))
+            i = j
+        elif "a" <= ch <= "z":
+            j = i
+            while j < len(text) and ("0" <= text[j] <= "9" or "a" <= text[j] <= "z"):
+                j += 1
+            toks.append(("ident", text[i:j], i))
+            i = j
+        else:
+            raise RegexSyntaxError(f"unexpected character {ch!r}", i)
+    return toks
+
+
+def lexed(lex, text):
+    try:
+        return lex(text)
+    except RegexSyntaxError as exc:
+        return type(exc), str(exc), exc.position
+
+
+@given(REGEX_TEXT)
+@example("x0 eps\t\n a١ b² A é 1234567890")
+@example("\x1c\x85\xa0\u2028\u3000a")  # str.isspace() holds for each
+@example("\u200b")  # ZERO WIDTH SPACE: not whitespace
+@example("(" * MAX_NESTING + "<" + ")")
+def test_lex_matches_the_character_loop_reference(text):
+    assert lexed(_lex, text) == lexed(reference_lex, text)
+
+
+@pytest.mark.parametrize(
+    "text_of_height",
+    [
+        lambda h: " + ".join(["a"] * h),
+        lambda h: " ".join(["a"] * h),
+        lambda h: "a" * h,
+        lambda h: "a" + "*" * (h - 1),
+        lambda h: "<n." * (h - 1) + "n" + ">" * (h - 1),
+    ],
+    ids=["sum-chain", "juxtaposed-atoms", "letter-run", "star-chain", "nested-binders"],
+)
+def test_parsed_trees_are_held_to_the_height_limit(text_of_height):
+    parse_regex(text_of_height(MAX_NESTING), AB)
+    with pytest.raises(RegexSyntaxError, match=str(MAX_NESTING)):
+        parse_regex(text_of_height(MAX_NESTING + 1), AB)
+
+
+def test_a_tall_tree_is_reported_after_the_syntax_errors():
+    # The height is checked once, on the finished tree.
+    with pytest.raises(RegexSyntaxError) as raised:
+        parse_regex("a" * 101, AB)
+    assert str(raised.value) == "expression tree height 101 is over the limit 100 (at position 0)"
+    with pytest.raises(RegexSyntaxError) as raised:
+        parse_regex("a" * 200 + " )", AB)
+    assert str(raised.value) == "unexpected ')' (at position 201)"
 
 
 def test_is_closed():

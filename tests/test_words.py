@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from nlstar import automaton as am
 from nlstar.learner import ObservationTable
-from nlstar.oracle import EnumBound, enumerate_legal
+from nlstar.oracle import EnumBound, brute_membership, enumerate_legal
 from nlstar.regex import canonicalize, parse_regex
-from nlstar.teacher import Teacher
+from nlstar.teacher import Answer, Teacher
 from nlstar.words import (
     CLOSE,
     OPEN,
@@ -123,6 +123,43 @@ def test_every_collection_of_the_same_letters_gives_the_same_result(extra, rng):
             for sigma in (letters, tuple(reversed(letters)), set(letters), frozenset(letters))
         ]
         assert results[1:] == results[:1] * 3, name
+
+
+# Every entry point that reads a word: (name, call on a word, its result for
+# the word ("a", "b"), its result for the string "ab": a value, or the
+# message of the IllegalWordError it raises).  The target is ab.
+AB_TARGET = canonicalize(parse_regex("ab", {"a", "b"}))
+STR_WORD_ENTRY_POINTS = [
+    (
+        "Teacher.membership",
+        lambda word: Teacher.from_regex("ab", ["a", "b"]).membership(word),
+        Answer.ONE,
+        "membership query for a string, not a word: 'ab'",
+    ),
+    ("accepts", lambda word: am.accepts(am.compile(AB_TARGET), word), True, "not legal for this automaton: 'ab'"),
+    ("brute_membership", lambda word: brute_membership(AB_TARGET, word), True, "a string is not a word: 'ab'"),
+    ("reg", reg, 0, "illegal word"),
+    ("depth", depth, 0, "illegal word"),
+    ("is_legal", lambda word: is_legal(word, AB1), True, False),
+    ("summarize", lambda word: summarize(word) is not None, True, False),
+    ("concat left", lambda word: concat(word, (), AB1), ("a", "b"), None),
+    ("concat right", lambda word: concat((), word, AB1), ("a", "b"), None),
+]
+
+
+@pytest.mark.parametrize(
+    "call, on_tuple, on_str",
+    [entry[1:] for entry in STR_WORD_ENTRY_POINTS],
+    ids=[name for name, _, _, _ in STR_WORD_ENTRY_POINTS],
+)
+def test_a_string_is_not_a_word(call, on_tuple, on_str):
+    # Read as its characters, "ab" would be the word ("a", "b").
+    assert call(("a", "b")) == on_tuple
+    if isinstance(on_str, str):
+        with pytest.raises(IllegalWordError, match=on_str):
+            call("ab")
+    else:
+        assert call("ab") is on_str
 
 
 def test_alphabet_is_an_immutable_value():
