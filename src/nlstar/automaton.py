@@ -326,8 +326,16 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     reaches it.  The path back through the parents is thus the least
     shortest word, so the witness is the first differing node of the
     level (of those with the extreme depth, for the fresh strategies).
-    Their depth-keyed search is cubic in the register bound, so it runs
-    only once the depth-free one has found that a witness exists.
+
+    The fresh strategies also key nodes by depth, and prune them in two
+    steps; a word's completions depend only on its pair (state sets and
+    layer).  A successor whose pair was first reached at a shorter
+    length is dropped: that shorter word has a shorter witness.  At the
+    same length, one whose depth is no more extreme than that kept for
+    its pair is dropped: the kept word is lex-smaller and at least as
+    extreme on every completion.  So no prefix of the witness is
+    dropped.  This search runs only once the depth-free one has found
+    that a witness exists.
     """
     if m1.sigma != m2.sigma:
         raise AlphabetMismatchError(
@@ -337,6 +345,7 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     fresh = strategy is not Strategy.SHORTEST
     if fresh and equivalence(m1, m2) is None:
         return None
+    sign = 1 if strategy is Strategy.MAX_FRESH else -1  # sign * depth grows with extremity
 
     # Nodes are (states1, states2, layer, peak): the state sets each
     # machine reaches, whose empty sets are told apart by the layer, and,
@@ -344,20 +353,19 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     # (0 otherwise, so a layer holds one node per pair of state sets).
     start = (m1.start, m2.start, 0, 0)
     parent = {start: None}
+    kept = {start[:3]: (0, 0)}  # fresh only: pair -> the greatest (-level, sign * depth) kept for it
     frontier = [start]
+    level = 0
     while frontier:
         hits = [node for node in frontier if bool(node[0] & m1.finals) != bool(node[1] & m2.finals)]
         if hits:
-            if fresh:
-                extreme = max if strategy is Strategy.MAX_FRESH else min
-                pick = extreme(node[3] for node in hits)
-                hits = [node for node in hits if node[3] == pick]
             word = []
-            node = hits[0]
+            node = max(hits, key=lambda node: sign * node[3])  # the first of the extreme depth
             while parent[node] is not None:
                 node, label = parent[node]
                 word.append(label)
             return tuple(reversed(word))
+        level += 1
         next_frontier = []
         for node in frontier:
             states1, states2, layer, peak = node
@@ -365,6 +373,11 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
                 peak_after = max(peak, nlayer) if fresh else 0
                 succ = (m1.step(states1, label), m2.step(states2, label), nlayer, peak_after)
                 if succ not in parent:
+                    if fresh:
+                        rank = (-level, sign * peak_after)
+                        if kept.get(succ[:3], rank) > rank:
+                            continue
+                        kept[succ[:3]] = rank
                     parent[succ] = (node, label)
                     next_frontier.append(succ)
         frontier = next_frontier

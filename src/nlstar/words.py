@@ -36,8 +36,6 @@ EPSILON: Word = ()
 
 _LETTER = r"[a-z][a-z0-9]*"  # also the identifier token of expression text
 _LETTER_RE = re.compile(_LETTER + r"\Z")
-_NUMBER_RE = re.compile(r"[0-9]{1,9}\Z")
-_DECORATED_OPEN_RE = re.compile(r"<<([0-9]{1,9})\.\Z")
 
 
 def is_letter(token) -> bool:
@@ -185,6 +183,8 @@ def is_legal(word, alphabet: Alphabet) -> bool:
 
 def _well_formed(word) -> Summary:
     """Summary of a word whose brackets and references are legal, at any depth."""
+    if isinstance(word, str):  # serialize_word would show its characters as letters
+        raise IllegalWordError(f"illegal word {word!r}: a string is not a word")
     summary = summarize(word)
     if summary is None or summary.low < 0 or summary.need > 0:
         raise IllegalWordError(f"illegal word: {serialize_word(word)!r}")
@@ -241,6 +241,11 @@ def serialize_word(word) -> str:
     return " ".join(parts)
 
 
+# One whole piece of word text: an open, bare or with its level ("<<1." or
+# "<< 1 ."), a close, a number or a letter, each ending at (?!\S); else \S+.
+_PIECE_RE = re.compile(rf"(?:(<<)(?:([0-9]{{1,9}})\.|\s+([0-9]{{1,9}})\s+\.)?|(>>)|([0-9]{{1,9}})|({_LETTER}))(?!\S)|\S+")
+
+
 def parse_word(text: str) -> tuple:
     """Parse the whitespace-separated word grammar.
 
@@ -250,46 +255,27 @@ def parse_word(text: str) -> tuple:
     match the actual nesting.  Legality is not enforced here: ">>" parses
     fine and is rejected later.
     """
-    pieces = [(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]
     out = []
     count = 0
-    i = 0
-    while i < len(pieces):
-        piece, pos = pieces[i]
-        decorated = _DECORATED_OPEN_RE.match(piece)
-        if piece == OPEN or decorated:
-            level = None
-            if decorated:
-                level = int(decorated.group(1))
-                i += 1
-            elif (
-                i + 2 < len(pieces)
-                and _NUMBER_RE.match(pieces[i + 1][0])
-                and pieces[i + 2][0] == "."
-            ):
-                level = int(pieces[i + 1][0])
-                i += 3
-            else:
-                i += 1
+    for match in _PIECE_RE.finditer(text):
+        opened, level, spaced_level, closed, number, letter = match.groups()
+        if opened:
             count += 1
-            if level is not None and level != count:
+            level = int(level or spaced_level or count)  # a bare open states no level
+            if level != count:
                 raise WordSyntaxError(
-                    f"binder decorated with level {level} but {count} binders are open", pos
+                    f"binder decorated with level {level} but {count} binders are open", match.start()
                 )
             out.append(OPEN)
-        elif piece == CLOSE:
+        elif closed:
             count -= 1
             out.append(CLOSE)
-            i += 1
-        elif _NUMBER_RE.match(piece):
-            idx = int(piece)
-            if idx < 1:
-                raise WordSyntaxError("register references start at 1", pos)
-            out.append(idx)
-            i += 1
-        elif is_letter(piece):
-            out.append(piece)
-            i += 1
+        elif number:
+            if int(number) < 1:
+                raise WordSyntaxError("register references start at 1", match.start())
+            out.append(int(number))
+        elif letter:
+            out.append(letter)
         else:
-            raise WordSyntaxError(f"unrecognised token {piece!r}", pos)
+            raise WordSyntaxError(f"unrecognised token {match.group()!r}", match.start())
     return tuple(out)

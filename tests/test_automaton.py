@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from nlstar.automaton import (
 from nlstar.oracle import EnumBound, enumerate_legal
 from nlstar.regex import (
     Binder,
+    Concat,
     Empty,
     Epsilon,
     Name,
@@ -30,7 +32,7 @@ from nlstar.regex import (
 )
 from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal
 
-from .corpus import random_nominal
+from .corpus import ACCEPTANCE_SEED, draws, random_nominal
 
 AB = frozenset({"a", "b"})
 WORKED = canonicalize(parse_regex("ab<n.n*>", AB))
@@ -369,6 +371,118 @@ def test_fresh_strategies_pick_depth_extremes(left, right, strategy):
     want = max(depths) if strategy is Strategy.MAX_FRESH else min(depths)
     # Minimal length, extreme depth, then first in enumeration order.
     assert witness == next(word for word in shortest if depth(word) == want)
+
+
+def reference_equivalence(m1, m2, strategy):
+    """The search with every (states1, states2, layer, peak) node and no
+    pruning: cubic in the register bound under the fresh strategies."""
+    alphabet = max(m1, m2, key=lambda m: m.n).alphabet
+    fresh = strategy is not Strategy.SHORTEST
+    start = (m1.start, m2.start, 0, 0)
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        hits = [node for node in frontier if bool(node[0] & m1.finals) != bool(node[1] & m2.finals)]
+        if hits:
+            if fresh:
+                extreme = max if strategy is Strategy.MAX_FRESH else min
+                pick = extreme(node[3] for node in hits)
+                hits = [node for node in hits if node[3] == pick]
+            word = []
+            node = hits[0]
+            while parent[node] is not None:
+                node, label = parent[node]
+                word.append(label)
+            return tuple(reversed(word))
+        next_frontier = []
+        for node in frontier:
+            states1, states2, layer, peak = node
+            for label, nlayer in alphabet.moves[layer]:
+                peak_after = max(peak, nlayer) if fresh else 0
+                succ = (m1.step(states1, label), m2.step(states2, label), nlayer, peak_after)
+                if succ not in parent:
+                    parent[succ] = (node, label)
+                    next_frontier.append(succ)
+        frontier = next_frontier
+    return None
+
+
+def _redirected(machine, rng):
+    """``machine`` with one edge sent to another state of its target's
+    layer, so the two differ late in a word; None if no edge can move."""
+    transitions = list(machine.transitions)
+    rng.shuffle(transitions)
+    for i, (src, label, dst) in enumerate(transitions):
+        others = sorted(q for q in machine.layers if machine.layers[q] == machine.layers[dst] and q != dst)
+        if others:
+            transitions[i] = (src, label, rng.choice(others))
+            return NominalAutomaton(
+                machine.sigma, machine.n, machine.layers, machine.initial, machine.finals, transitions
+            )
+    return None
+
+
+@pytest.mark.parametrize(
+    "max_theta, letters, sizes",
+    [(2, ("a", "b"), (3, 8)), (3, ("a", "b"), (8, 20)), (4, ("a", "b", "c"), (10, 25))],
+    ids=["acceptance-stream", "theta3", "three-letter-theta4"],
+)
+def test_pruned_witnesses_match_the_unpruned_reference(max_theta, letters, sizes):
+    # Seeded pairs of unrelated targets, and each minimal target against a
+    # copy with one edge redirected, whose witnesses are longer.
+    rng = random.Random(ACCEPTANCE_SEED)
+    cnes = islice(draws(ACCEPTANCE_SEED, max_theta, letters, sizes), 200)
+    machines = [am.compile(cne, letters) for cne in cnes]
+    pairs = list(zip(machines[::2], machines[1::2]))
+    for machine in machines[:100]:
+        minimal = am.minimize(am.determinize(machine))
+        redirected = _redirected(minimal, rng)
+        if redirected is not None:
+            pairs.append((minimal, redirected))
+    for m1, m2 in pairs:
+        for strategy in Strategy:
+            assert am.equivalence(m1, m2, strategy) == reference_equivalence(m1, m2, strategy)
+
+
+def test_pruned_witnesses_match_the_unpruned_reference_after_tied_prefixes():
+    # Each prefix language has words of one length and different depths
+    # that lead to one minimal state, so the pruning must keep the deeper
+    # (max-fresh) or shallower (min-fresh) of them, not the first.
+    prefixes = ["a a a + <n.n>", "a a b + <n. n b>", "b b + <n.n> + <n. <m. m n>>"]
+    cnes = list(islice(draws(ACCEPTANCE_SEED), 40))
+    for prefix in (parse_regex(text, AB) for text in prefixes):
+        for left, right in zip(cnes[::2], cnes[1::2]):
+            m1, m2 = (
+                am.minimize(am.determinize(am.compile(canonicalize(Concat(prefix, cne)), AB)))
+                for cne in (left, right)
+            )
+            for strategy in Strategy:
+                assert am.equivalence(m1, m2, strategy) == reference_equivalence(m1, m2, strategy)
+
+
+def _layer_chain(n, top):
+    """One state per layer 0..top over {a}, every legal label at each; only
+    layer 0 accepts.  With top < n, no binder opens at layer top."""
+    transitions = []
+    for k in range(top + 1):
+        transitions += [(f"q{k}", label, f"q{k}") for label in ["a", *range(1, k + 1)]]
+        if k < top:
+            transitions.append((f"q{k}", OPEN, f"q{k + 1}"))
+        if k > 0:
+            transitions.append((f"q{k}", CLOSE, f"q{k - 1}"))
+    return NominalAutomaton({"a"}, n, {f"q{k}": k for k in range(top + 1)}, "q0", ["q0"], transitions)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.MAX_FRESH, Strategy.MIN_FRESH])
+def test_fresh_witness_is_quick_at_a_large_register_bound(strategy):
+    # The shortest witness opens 200 binders and closes them again.  Keyed by
+    # depth without pruning, the search kept every (layer, peak) node of
+    # every level: 3.8 s on a 2-core machine.
+    m1, m2 = _layer_chain(250, 250), _layer_chain(250, 199)
+    started = time.monotonic()
+    witness = am.equivalence(m1, m2, strategy)
+    assert witness == (OPEN,) * 200 + (CLOSE,) * 200
+    assert time.monotonic() - started < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,14 @@ def test_learn_bytes_match_golden(name, tmp_path):
     assert log.read_bytes() == (GOLDEN / f"{name}.log").read_bytes()
 
 
+def test_strategy_script_output_matches_golden():
+    # The fresh-strategy counterexamples and query counts of the script's
+    # corpus, recorded; a change to any of them must re-record it on purpose.
+    script = Path(__file__).parents[1] / "scripts" / "strategy_experiment.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, check=True, env=CHILD_ENV)
+    assert proc.stdout == (GOLDEN / "strategy_experiment.stdout").read_bytes()
+
+
 def test_import_loads_no_dataclasses_machinery():
     # Every CLI call and bench pass pays for the cold import.
     probe = (

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlstar import automaton as am
@@ -22,6 +24,8 @@ from nlstar.words import (
     serialize_word,
     summarize,
 )
+
+from .test_fuzz import WORD_TEXT
 
 AB1 = Alphabet({"a", "b"}, 1)
 AB2 = Alphabet({"a", "b"}, 2)
@@ -217,6 +221,14 @@ def test_reg_rejects_illegal():
         reg((CLOSE,))
 
 
+@pytest.mark.parametrize("call", [reg, depth])
+def test_reg_and_depth_name_a_string_word_as_given(call):
+    # Rendered as a word, "ab" would read as its characters: 'a b'.
+    with pytest.raises(IllegalWordError) as raised:
+        call("ab")
+    assert str(raised.value) == "illegal word 'ab': a string is not a word"
+
+
 def test_depth_examples():
     assert depth(()) == 0
     assert depth(("a", "b", OPEN, CLOSE)) == 1
@@ -267,6 +279,101 @@ def test_parse_word_rejects_garbage():
 
 def test_serialize_decorates_levels():
     assert serialize_word(("a", OPEN, OPEN, 2, CLOSE, CLOSE)) == "a <<1. <<2. 2 >> >>"
+
+
+_NUMBER_RE = re.compile(r"[0-9]{1,9}\Z")
+_DECORATED_OPEN_RE = re.compile(r"<<([0-9]{1,9})\.\Z")
+
+
+def reference_parse_word(text):
+    """The word parser as a loop over whitespace-split pieces that looks
+    two pieces ahead of a bare open for a spaced level ("<< 1 .")."""
+    pieces = [(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]
+    out = []
+    count = 0
+    i = 0
+    while i < len(pieces):
+        piece, pos = pieces[i]
+        decorated = _DECORATED_OPEN_RE.match(piece)
+        if piece == OPEN or decorated:
+            level = None
+            if decorated:
+                level = int(decorated.group(1))
+                i += 1
+            elif (
+                i + 2 < len(pieces)
+                and _NUMBER_RE.match(pieces[i + 1][0])
+                and pieces[i + 2][0] == "."
+            ):
+                level = int(pieces[i + 1][0])
+                i += 3
+            else:
+                i += 1
+            count += 1
+            if level is not None and level != count:
+                raise WordSyntaxError(
+                    f"binder decorated with level {level} but {count} binders are open", pos
+                )
+            out.append(OPEN)
+        elif piece == CLOSE:
+            count -= 1
+            out.append(CLOSE)
+            i += 1
+        elif _NUMBER_RE.match(piece):
+            idx = int(piece)
+            if idx < 1:
+                raise WordSyntaxError("register references start at 1", pos)
+            out.append(idx)
+            i += 1
+        elif re.fullmatch(r"[a-z][a-z0-9]*", piece):
+            out.append(piece)
+            i += 1
+        else:
+            raise WordSyntaxError(f"unrecognised token {piece!r}", pos)
+    return tuple(out)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except WordSyntaxError as exc:
+        return type(exc), str(exc), exc.position
+
+
+@given(WORD_TEXT)
+@example("<< <<2. >> << 2 . 2")  # bare, decorated and spaced opens
+@example("<<\t1\n.\x1c1\x85<<\u30002\u3000.")  # str.isspace() holds for each separator
+@example("<< 01 .")  # leading zeros in a level
+@example("<<0.")  # a level that does not match
+@example("<< 0 .")
+@example("<<123456789.")  # nine digits
+@example("<<1234567890.")  # ten digits: no open
+@example("<< 1234567890 .")  # a bare open, then ten digits
+@example("<< 1 .x")  # a bare open, a register, then garbage
+@example("<< 1.")
+@example("<< 1 ")  # no spaced level without its dot
+@example("<<1 .")
+@example("<<1.x")
+@example("<<<")
+@example(">> >>")
+@example(">")
+@example(">>a")
+@example("a<<")
+@example("000000001")
+@example("0")  # registers start at 1
+@example("1234567890")
+@example("a b1 req1 ab1c")
+@example("a.")
+@example("1a")
+@example("A")
+@example("é")
+@example("١")  # not ASCII digits
+@example("²")
+@example("<<١.")
+@example("<< ١ .")
+@example("a\u200bb")  # ZERO WIDTH SPACE: not whitespace
+def test_parse_word_matches_the_piece_loop_reference(text):
+    assert parsed(parse_word, text) == parsed(reference_parse_word, text)
 
 
 token = st.one_of(
