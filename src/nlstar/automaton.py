@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from enum import Enum
-from functools import lru_cache
 
 from . import regex as rx
-from .words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, is_letter, letter_set
+from .words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, is_letter, letter_set, shared_alphabet
 
 
 class _EpsLabel:
@@ -64,10 +63,6 @@ class Strategy(Enum):
 # How far each label moves the layer; every label not listed keeps it.
 _SHIFT = {OPEN: 1, CLOSE: -1}
 
-# ``_shared(a)`` is the first Alphabet equal to ``a``: machines with equal
-# letters and bound share one Alphabet and its move table.
-_shared = lru_cache(lambda alphabet: alphabet)
-
 _NOWHERE = frozenset()
 
 
@@ -102,7 +97,7 @@ class NominalAutomaton:
 
     def __init__(self, sigma, n, layers, initial, finals, transitions):
         try:
-            self.alphabet = _shared(Alphabet(sigma, n))
+            self.alphabet = shared_alphabet(Alphabet(sigma, n))
         except ValueError as exc:
             raise InvalidAutomatonError(str(exc)) from exc
         self.sigma, self.n = self.alphabet.sigma, self.alphabet.n

@@ -9,16 +9,19 @@ locally, without asking the teacher; row labels that are themselves
 illegal keep an all-bottom row and never participate in closedness or
 consistency checks.
 
-The table keeps one ``words.Summary`` per label and suffix, and, per
-open count, which columns a label ending with that count may take;
-these legality columns are kept across fills and grow by one entry per
-new suffix, so a cell costs one list read and one memo lookup.  Rows
-are stored with their register count, gain a column per new suffix and
-are rebuilt, like the legality columns, only when the register bound
-grows; an illegal row is not looked at again until then.  A closedness
-repair fills only the witness's one-token extensions, the only new
-labels.  The queries and their order are those of a full refill.
-Column 0 is always the empty suffix.
+The table keeps one ``words.Summary`` per suffix and, per open count,
+which columns a label ending with that count may take; these legality
+columns grow by one entry per new suffix.  A new label is one token
+after an S label filled before it, so its legality and register count
+come from the move table ``Alphabet.moves``; ``summarize`` runs only on
+suffixes and counterexamples.  Rows are hash-consed ids, grown from one
+empty row per register count by ``(id, answer)`` steps: a new cell
+costs one memo lookup and one dict step, and closedness, consistency
+and the hypothesis compare ints.  Rows and legality columns are rebuilt
+only when the register bound grows; an illegal row is not looked at
+again until then.  A closedness repair fills only the witness's
+one-token extensions, the only new labels.  The queries and their
+order are those of a full refill.  Column 0 is always the empty suffix.
 
 The learner starts from the bare letter alphabet and discovers binders
 through counterexamples: a counterexample of depth d raises the table's
@@ -33,7 +36,8 @@ from typing import NamedTuple
 
 from . import automaton as am
 from .teacher import Answer, Teacher
-from .words import Alphabet, IllegalWordError, depth, letter_set, prefixes, serialize_word, summarize
+from .words import Alphabet, IllegalWordError, check_count, depth, letter_set, prefixes
+from .words import serialize_word, shared_alphabet, summarize
 
 
 class NotClosedOrConsistentError(ValueError):
@@ -95,9 +99,15 @@ class ObservationTable:
     def _set_depth(self, n):
         """Adopt register bound ``n``; the next fill rebuilds every row."""
         self.n = n
-        self.alphabet = Alphabet(self.sigma, n)
+        self.alphabet = shared_alphabet(Alphabet(self.sigma, n))
         self._tokens = self.alphabet.tokens()
-        self._rows = {}
+        # _moves[count][tok]: the open count after ``tok`` at ``count`` open.
+        self._moves = [dict(moves) for moves in self.alphabet.moves]
+        # _by_id[id]: (cell values, register count); id c <= n is the empty
+        # row of count c, and _child[id, answer] the id one cell longer.
+        self._by_id = [((), count) for count in range(n + 1)]
+        self._child = {}
+        self._rows = {(): 0}  # label -> row id, None if illegal; epsilon starts empty
         # _legal[count][j]: suffix j may follow a label that leaves count binders open.
         self._legal = [[] for _ in range(n + 1)]
         self._labels = None
@@ -125,43 +135,47 @@ class ObservationTable:
         the order a full refill asks them.  Illegal rows stay None until
         the register bound grows."""
         self._states = None
-        legal, rows, width = self._legal, self._rows, len(self.e_words)
-        for suffix in self.e_words[len(legal[0]):]:
+        legal, rows, e_words, width = self._legal, self._rows, self.e_words, len(self.e_words)
+        by_id, child, moves, answers = self._by_id, self._child, self._moves, self._answers
+        for suffix in e_words[len(legal[0]):]:
             tail = self._summary(suffix)
             for count, fits in enumerate(legal):
                 fits.append(tail is not None and tail.fits(self.n, count))
         for label in self.labels() if labels is None else labels:
-            row = rows.get(label, ())  # () for a label not seen yet
-            if row is None or row and len(row[0]) == width:
+            row = rows.get(label, -1)  # -1 for a label not seen yet
+            if row == -1:
+                # One token after an S label filled before it: the count the
+                # move table pairs with that token is the empty row's id.
+                parent = rows[label[:-1]]
+                row = rows[label] = None if parent is None else moves[by_id[parent][1]].get(label[-1])
+            if row is None:
                 continue
-            if row:
-                values, count = list(row[0]), row[1]
-            else:
-                head = self._summary(label)
-                if head is None or not head.fits(self.n):
-                    rows[label] = None
-                    continue
-                values, count = [], head.final
+            values, count = by_id[row]
             fits = legal[count]
             for j in range(len(values), width):
-                if not fits[j]:
-                    values.append(Answer.BOTTOM)
-                    continue
-                word = label + self.e_words[j]
-                answer = self._answers.get(word)
-                if answer is None:
-                    answer = self._answers[word] = teacher.membership(word)
-                values.append(answer)
-            rows[label] = (tuple(values), count)
+                if fits[j]:
+                    word = label + e_words[j]
+                    answer = answers.get(word)
+                    if answer is None:
+                        answer = answers[word] = teacher.membership(word)
+                else:
+                    answer = Answer.BOTTOM
+                longer = child.get((row, answer))
+                if longer is None:
+                    longer = child[row, answer] = len(by_id)
+                    by_id.append((by_id[row][0] + (answer,), count))
+                row = longer
+            rows[label] = row
 
     def row(self, label):
         """(cell values over E, register count), or None for illegal labels."""
-        return self._rows[label]
+        row = self._rows[label]
+        return None if row is None else self._by_id[row]
 
     def values(self, label):
         """Cell values over E; all bottom for an illegal label."""
         row = self._rows[label]
-        return (Answer.BOTTOM,) * len(self.e_words) if row is None else row[0]
+        return (Answer.BOTTOM,) * len(self.e_words) if row is None else self._by_id[row][0]
 
     def cell(self, label, suffix) -> Answer:
         return self.values(label)[self._columns[suffix]]
@@ -174,18 +188,20 @@ class ObservationTable:
 
     def check_consistent(self):
         """First token.suffix extension separating two equal S rows, or None."""
-        groups = {}
+        rows, groups = self._rows, {}
         for s in self.s_words:
-            if self._rows[s] is not None:
-                groups.setdefault(self._rows[s], []).append(s)
+            if rows[s] is not None:
+                groups.setdefault(rows[s], []).append(s)
         clashes = [members for members in groups.values() if len(members) > 1]
         # Tokens are scanned first, then suffixes: report the leftmost split.
         for tok in self._tokens:
             splits = []
             for members in clashes:
-                base, *others = [self.values(s + (tok,)) for s in members]
-                for cells in others:
-                    if cells != base:
+                # Equal rows' tok-extensions share a count: ids differ iff a cell does.
+                first, *others = [s + (tok,) for s in members]
+                for other in others:
+                    if rows[other] != rows[first]:
+                        base, cells = self.values(first), self.values(other)
                         splits.append(next(i for i, x in enumerate(base) if x is not cells[i]))
             if splits:
                 return (tok,) + self.e_words[min(splits)]
@@ -213,7 +229,9 @@ class ObservationTable:
     def handle_counterexample(self, counterexample, teacher: Teacher):
         """Add the counterexample and its prefixes to S and widen the
         register bound to its depth, growing the token alphabet."""
-        summary = self._summary(counterexample)
+        if not isinstance(counterexample, tuple):
+            raise IllegalWordError(f"illegal counterexample {counterexample!r}: a word is a tuple of tokens")
+        summary = summarize(counterexample, self.sigma)
         if summary is None or not summary.fits(summary.peak):
             raise IllegalWordError(f"illegal counterexample: {serialize_word(counterexample)!r}")
         existing = set(self.s_words)
@@ -224,7 +242,7 @@ class ObservationTable:
         self.fill(teacher)
 
     def state_map(self):
-        """Distinct (row, register) pairs of S, numbered in first-occurrence order."""
+        """Distinct row ids of S, numbered in first-occurrence order."""
         if self._states is None:
             self._states = {}
             for s in self.s_words:
@@ -243,10 +261,9 @@ class ObservationTable:
 
         The transition loop visits every extension row, so it checks both:
         each must match an S row, and equal S rows must agree on it."""
-        ids = self.state_map()
-        layers = {state: register for (_, register), state in ids.items()}
-        finals = [state for (values, register), state in ids.items()
-                  if values[0] is Answer.ONE and register == 0]
+        ids, by_id = self.state_map(), self._by_id
+        layers = {state: by_id[row][1] for row, state in ids.items()}
+        finals = [state for row, state in ids.items() if by_id[row][0][0] is Answer.ONE and layers[state] == 0]
         delta = {}
         for s in self.s_words:
             src = ids[self._rows[s]]
@@ -281,6 +298,8 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
     the target's legal words.
     """
     config = config or LearnConfig()
+    if config.max_rounds is not None:
+        check_count(config.max_rounds, "max_rounds")
     table = init_table(teacher)
     snapshots = []
     longest = 0  # length of the longest counterexample so far
@@ -317,18 +336,21 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
         if config.on_hypothesis is not None:
             config.on_hypothesis(table, hypothesis)
         counterexample = teacher.equivalence(hypothesis)
-        snapshots.append(RoundSnapshot(
+        snapshot = RoundSnapshot(
             round=round_index,
             s_size=len(table.s_words),
             e_size=len(table.e_words),
             n=table.n,
             hypothesis_states=am.state_count(hypothesis),
-            answer="yes" if counterexample is None else serialize_word(counterexample),
-        ))
+            answer="yes",
+        )
         if counterexample is None:
+            snapshots.append(snapshot)
             return hypothesis, stats()
-        longest = max(longest, len(counterexample))
+        # Checks first that the counterexample is a legal word.
         table.handle_counterexample(counterexample, teacher)
+        snapshots.append(snapshot._replace(answer=serialize_word(counterexample)))
+        longest = max(longest, len(counterexample))
         # The cell (counterexample, eps) is filled by now, so this asks no query.
         claimed = depth(counterexample) <= hypothesis.n and am.accepts(hypothesis, counterexample)
         if claimed == (table.cell(counterexample, ()) is Answer.ONE):

@@ -38,9 +38,12 @@ class Teacher:
         self.membership_queries = 0
         self.equivalence_queries = 0
         self.log = []
-        self._delta = {(src, label): dst for src, label, dst in target.transitions}
+        # _edges[state][token]: the one successor (a deterministic target
+        # has no silent moves), so a token costs one lookup in its state's dict.
+        self._edges = {state: {} for state in target.layers}
         incoming = {}
-        for src, _, dst in target.transitions:
+        for src, label, dst in target.transitions:
+            self._edges[src][label] = dst
             incoming.setdefault(dst, []).append(src)
         # States from which a final state can be reached.
         self._live = am.reachable_from(target.finals, lambda q: incoming.get(q, ()))
@@ -65,7 +68,7 @@ class Teacher:
         string is not a word: its characters would walk as letters."""
         if isinstance(word, str):
             raise IllegalWordError(f"membership query for a string, not a word: {word!r}")
-        state = self.target.initial
+        state, edges = self.target.initial, self._edges
         for tok in word:
             # Only str and non-bool int tokens walk: True == 1 and 1.0 == 1
             # would find register 1's edge.
@@ -74,7 +77,7 @@ class Teacher:
             ):
                 state = None
                 break
-            state = self._delta.get((state, tok))
+            state = edges[state].get(tok)
             if state is None:
                 break
         if state is None and not is_legal(word, self.target.alphabet):

@@ -23,7 +23,7 @@ the bare and the decorated spelling.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 OPEN = "<<"
@@ -117,6 +117,11 @@ class Alphabet:
             tuple((tok, count + scan.final) for tok, scan in scans if scan.fits(self.n, count))
             for count in range(self.n + 1)
         )
+
+
+# ``shared_alphabet(a)`` is the first Alphabet equal to ``a``: callers with
+# equal letters and bound share one Alphabet and its move table.
+shared_alphabet = lru_cache(lambda alphabet: alphabet)
 
 
 class Summary(NamedTuple):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -201,6 +202,30 @@ def test_learn_bytes_match_golden(name, tmp_path):
     assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     assert proc.stderr == (GOLDEN / f"{name}.stderr").read_bytes()
     assert log.read_bytes() == (GOLDEN / f"{name}.log").read_bytes()
+
+
+# The largest learn-scaled bench target: six letters and four nested
+# binders.  Its stdout, stderr and log total about 1 MB, so only their
+# SHA-256 digests are recorded.
+WIDE_TARGET = "<x0. <x1. (f <x2. <x3. (a (b c) + x0 (d eps))* (x1 + f)>>)*>> <x0. (<x1. <x2. <x3. e c + f>>> x0)*>"
+WIDE_DIGESTS = {
+    "stdout": "d7e59a479dfe4fac2f85ac9a253b35b29b50e27d6cf0531d43b40ecab4372482",
+    "stderr": "b8ca270b612bcdf4a2d4d7e0ecc8a408e40cfacbe1fc9753ed14098a932ba010",
+    "log": "9de2ae1463df9c5140cd1990c214f5c0453af36152a74e7f6967f063204d3777",
+}
+
+
+def test_wide_learn_bytes_match_recorded_digests(tmp_path):
+    log = tmp_path / "queries.log"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlstar.cli", "learn", "--target", WIDE_TARGET,
+         "--emit", "table", "--log", str(log)],
+        capture_output=True,
+        check=True,
+        env=CHILD_ENV,
+    )
+    outputs = {"stdout": proc.stdout, "stderr": proc.stderr, "log": log.read_bytes()}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == WIDE_DIGESTS
 
 
 def test_strategy_script_output_matches_golden():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,9 +19,9 @@ from nlstar.learner import (
 from nlstar.oracle import EnumBound, brute_equivalence
 from nlstar.regex import canonicalize, parse_regex, theta
 from nlstar.teacher import Answer, Teacher
-from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, concat, is_legal, reg
+from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, concat, is_legal, reg, serialize_word
 
-from .corpus import corpus_targets, draws, random_nominal
+from .corpus import ACCEPTANCE_SEED, corpus_targets, draws, random_nominal
 
 AB = frozenset({"a", "b"})
 
@@ -233,6 +234,14 @@ def test_round_cap_raises():
     assert err.value.stats.equivalence_queries == 1
 
 
+@pytest.mark.parametrize("bad", [-1, True, 1.5, "3"])
+def test_bad_round_cap_is_rejected_before_any_query(bad):
+    teacher = worked_teacher()
+    with pytest.raises(ValueError, match=f"max_rounds must be a non-negative int, got {bad!r}"):
+        run_nlstar(teacher, LearnConfig(max_rounds=bad))
+    assert teacher.membership_queries == 0
+
+
 class FixedAnswerTeacher(Teacher):
     """Answers every equivalence query with the same word."""
 
@@ -247,6 +256,19 @@ class FixedAnswerTeacher(Teacher):
     def equivalence(self, hypothesis):
         self.equivalence_queries += 1
         return self.counterexample
+
+
+@pytest.mark.parametrize("counterexample, message", [
+    ("ab", "illegal counterexample 'ab': a word is a tuple of tokens"),
+    (["a", "b"], r"illegal counterexample \['a', 'b'\]: a word is a tuple of tokens"),
+    (5, "illegal counterexample 5: a word is a tuple of tokens"),
+    (("a", ["b"]), r"illegal counterexample: \"a \['b'\]\""),
+])
+def test_counterexample_that_is_no_word_is_a_typed_error(counterexample, message):
+    teacher = FixedAnswerTeacher(worked_teacher().target, counterexample)
+    with pytest.raises(IllegalWordError, match=f"^{message}$"):
+        run_nlstar(teacher)
+    assert teacher.equivalence_queries == 1
 
 
 def test_correctly_classified_counterexample_is_rejected():
@@ -305,24 +327,200 @@ def test_learner_only_queries_legal_words():
     assert all(is_legal(word, alphabet) for word in words)
 
 
+class reference_table(ObservationTable):
+    """The table on tuple rows: each label's row is ``(values, count)``,
+    legality comes from summarizing the label, and closedness,
+    consistency and the hypothesis hash and compare those tuples."""
+
+    def _set_depth(self, n):
+        super()._set_depth(n)
+        self._rows = {}
+
+    def fill(self, teacher, labels=None):
+        self._states = None
+        legal, rows, width = self._legal, self._rows, len(self.e_words)
+        for suffix in self.e_words[len(legal[0]):]:
+            tail = self._summary(suffix)
+            for count, fits in enumerate(legal):
+                fits.append(tail is not None and tail.fits(self.n, count))
+        for label in self.labels() if labels is None else labels:
+            row = rows.get(label, ())  # () for a label not seen yet
+            if row is None or row and len(row[0]) == width:
+                continue
+            if row:
+                values, count = list(row[0]), row[1]
+            else:
+                head = self._summary(label)
+                if head is None or not head.fits(self.n):
+                    rows[label] = None
+                    continue
+                values, count = [], head.final
+            fits = legal[count]
+            for j in range(len(values), width):
+                if not fits[j]:
+                    values.append(Answer.BOTTOM)
+                    continue
+                word = label + self.e_words[j]
+                answer = self._answers.get(word)
+                if answer is None:
+                    answer = self._answers[word] = teacher.membership(word)
+                values.append(answer)
+            rows[label] = (tuple(values), count)
+
+    def row(self, label):
+        return self._rows[label]
+
+    def values(self, label):
+        row = self._rows[label]
+        return (Answer.BOTTOM,) * len(self.e_words) if row is None else row[0]
+
+    def check_closed(self):
+        rows, ids = self._rows, self.state_map()
+        extensions = self.labels()[len(self.s_words):]
+        return next((x for x in extensions if rows[x] is not None and rows[x] not in ids), None)
+
+    def check_consistent(self):
+        groups = {}
+        for s in self.s_words:
+            if self._rows[s] is not None:
+                groups.setdefault(self._rows[s], []).append(s)
+        clashes = [members for members in groups.values() if len(members) > 1]
+        for tok in self._tokens:
+            splits = []
+            for members in clashes:
+                base, *others = [self.values(s + (tok,)) for s in members]
+                for cells in others:
+                    if cells != base:
+                        splits.append(next(i for i, x in enumerate(base) if x is not cells[i]))
+            if splits:
+                return (tok,) + self.e_words[min(splits)]
+        return None
+
+    def state_map(self):
+        if self._states is None:
+            self._states = {}
+            for s in self.s_words:
+                key = self._rows[s]
+                if key is not None and key not in self._states:
+                    self._states[key] = f"q{len(self._states)}"
+        return self._states
+
+    def to_automaton(self):
+        ids = self.state_map()
+        layers = {state: register for (_, register), state in ids.items()}
+        finals = [state for (values, register), state in ids.items()
+                  if values[0] is Answer.ONE and register == 0]
+        delta = {}
+        for s in self.s_words:
+            src = ids[self._rows[s]]
+            for tok in self._tokens:
+                succ = self._rows[s + (tok,)]
+                if succ is None:
+                    continue
+                dst = ids.get(succ)
+                if dst is None or delta.setdefault((src, tok), dst) != dst:
+                    broken = "closed" if dst is None else "consistent"
+                    raise NotClosedOrConsistentError(
+                        f"table is not {broken} at {serialize_word(s + (tok,))!r}")
+        transitions = [(src, tok, dst) for (src, tok), dst in delta.items()]
+        initial = ids[self._rows[()]]
+        return am.NominalAutomaton(self.sigma, self.n, layers, initial, finals, transitions)
+
+
+def hypothesis_or_error(table):
+    try:
+        return am.to_json(table.to_automaton())
+    except NotClosedOrConsistentError as exc:
+        return str(exc)
+
+
+def assert_tables_agree(table, reference):
+    labels = table.labels()
+    assert labels == reference.labels()
+    assert [table.row(x) for x in labels] == [reference.row(x) for x in labels]
+    assert [table.values(x) for x in labels] == [reference.values(x) for x in labels]
+    assert table.check_closed() == reference.check_closed()
+    assert table.check_consistent() == reference.check_consistent()
+    # The new table numbers row ids, not row tuples, and names the same states.
+    assert all(type(row) is int for row in table.state_map())
+    assert list(table.state_map().values()) == list(reference.state_map().values())
+    assert [table.state_of(x) for x in labels] == [reference.state_of(x) for x in labels]
+    assert hypothesis_or_error(table) == hypothesis_or_error(reference)
+
+
+def learn_beside_the_reference(target, strategy=Strategy.SHORTEST):
+    """Run ``run_nlstar``'s repair loop on a table and on the reference
+    table, each with its own teacher, and compare them after every step."""
+    teacher, reference_teacher = Teacher(target, strategy), Teacher(target, strategy)
+    table, reference = ObservationTable(target.sigma), reference_table(target.sigma)
+    table.fill(teacher)
+    reference.fill(reference_teacher)
+    assert_tables_agree(table, reference)
+    while True:
+        witness = table.check_closed()
+        if witness is not None:
+            table.extend_close(witness, teacher)
+            reference.extend_close(witness, reference_teacher)
+            assert_tables_agree(table, reference)
+        column = table.check_consistent()
+        if column is not None:
+            table.extend_consistent(column, teacher)
+            reference.extend_consistent(column, reference_teacher)
+            assert_tables_agree(table, reference)
+        if witness is None and column is None:
+            counterexample = teacher.equivalence(table.to_automaton())
+            if counterexample is None:
+                break
+            table.handle_counterexample(counterexample, teacher)
+            reference.handle_counterexample(counterexample, reference_teacher)
+            assert_tables_agree(table, reference)
+    assert [entry for entry in teacher.log if entry[0] == "member"] == reference_teacher.log
+
+
+def scaled_pool():
+    """The learn-scaled bench pool: the first 10 six-letter theta <= 4
+    draws of AST 25 to 35 whose determinized machine has 2 states or more."""
+    letters = tuple("abcdef")
+    machines = (am.determinize(am.compile(cne, letters)) for cne in draws(1, 4, letters, (25, 35)))
+    return list(itertools.islice((m for m in machines if am.state_count(m) >= 2), 10))
+
+
+def test_row_ids_agree_with_the_tuple_row_reference_on_the_acceptance_corpus():
+    for cne in corpus_targets(ACCEPTANCE_SEED, 20):
+        for strategy in Strategy:
+            learn_beside_the_reference(am.determinize(am.compile(cne, AB)), strategy)
+
+
+def test_row_ids_agree_with_the_tuple_row_reference_on_the_scaled_pool():
+    for target in scaled_pool():
+        learn_beside_the_reference(target)
+
+
 def full_refill(table, teacher, labels=None):
-    """Drop every stored row and refill every label; the answer memo stays."""
+    """Drop every stored row and row id and refill every label; the answer
+    memo stays.  A row's id is found by walking the hash-consing dict from
+    the empty row of the label's count, one cell at a time."""
     table._states = None
-    table._rows = {}
+    table._rows, table._child = {}, {}
+    by_id = table._by_id = table._by_id[: table.n + 1]
     for label in table.labels():
         if not is_legal(label, table.alphabet):
             table._rows[label] = None
             continue
-        values = []
+        row = reg(label)
         for suffix in table.e_words:
             word = concat(label, suffix, table.alphabet)
             if word is None:
-                values.append(Answer.BOTTOM)
-                continue
-            if word not in table._answers:
-                table._answers[word] = teacher.membership(word)
-            values.append(table._answers[word])
-        table._rows[label] = (tuple(values), reg(label))
+                answer = Answer.BOTTOM
+            else:
+                if word not in table._answers:
+                    table._answers[word] = teacher.membership(word)
+                answer = table._answers[word]
+            if (row, answer) not in table._child:
+                table._child[row, answer] = len(by_id)
+                by_id.append((by_id[row][0] + (answer,), reg(label)))
+            row = table._child[row, answer]
+        table._rows[label] = row
 
 
 def test_fills_ask_the_queries_of_a_full_refill(monkeypatch):
