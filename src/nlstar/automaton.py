@@ -1,14 +1,15 @@
 """Finite automata whose states track a count of open binders.
 
-Every state carries a *layer*; OPEN transitions step it up, CLOSE
-transitions step it down, everything else stays level.  The initial
-state and all accepting states sit at layer 0.  Along any run the layer
-equals the number of binders the consumed prefix left open, so for
-canonical words (where the k-th nested binder is always register k)
-register contents never need to be materialised: the machine behaves as
-a plain finite automaton over letters, register indices and the two
-brackets, restricted to legal words.  That restriction is what makes
-language equivalence exactly decidable by a product construction.
+Every state carries a *layer*; an edge leads to the layer that
+``Alphabet.moves`` gives its label there, and an eps edge keeps it.
+The initial state and all accepting states sit at layer 0.  Along any
+run the layer equals the number of binders the consumed prefix left
+open, so for canonical words (where the k-th nested binder is always
+register k) register contents never need to be materialised: the
+machine behaves as a plain finite automaton over letters, register
+indices and the two brackets, restricted to legal words.  That
+restriction is what makes language equivalence exactly decidable by a
+product construction.
 """
 
 from __future__ import annotations
@@ -60,8 +61,12 @@ class Strategy(Enum):
     MIN_FRESH = "min-fresh"
 
 
-# How far each label moves the layer; every label not listed keeps it.
-_SHIFT = {OPEN: 1, CLOSE: -1}
+def check_strategy(strategy) -> Strategy:
+    """``strategy`` if it is a ``Strategy`` member, else a ``ValueError`` naming it."""
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"strategy must be a Strategy member, got {strategy!r}")
+    return strategy
+
 
 _NOWHERE = frozenset()
 
@@ -76,6 +81,13 @@ def reachable_from(starts, successors):
                 seen.add(succ)
                 stack.append(succ)
     return seen
+
+
+def _collection(value, field, items):
+    """``value`` unless it is a string (its characters) or not iterable."""
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise InvalidAutomatonError(f"{field} must be a collection of {items}, not {value!r}")
+    return value
 
 
 def _triple(transition):
@@ -103,21 +115,31 @@ class NominalAutomaton:
         self.sigma, self.n = self.alphabet.sigma, self.alphabet.n
         if not isinstance(layers, Mapping):
             raise InvalidAutomatonError(f"layers must map state ids to layers, got {layers!r}")
-        finals = list(finals)
+        finals = list(_collection(finals, "finals", "state ids"))
         for state in (*layers, initial, *finals):  # before anything hashes them
             if not isinstance(state, str):
                 raise InvalidAutomatonError(f"state ids must be strings, got {state!r}")
-        self.layers = dict(layers)
+        self.layers = layers = dict(layers)
         self.initial = initial
         self.finals = frozenset(finals)
+        transitions = _collection(transitions, "transitions", "(src, label, dst) triples")
         self.transitions = tuple(map(_triple, transitions))
         self._validate()
-        eps, targets, closures = {}, {}, {}
+        # One pass checks each edge against the move table and indexes it.
+        moves, eps, targets, closures = self.alphabet.moves, {}, {}, {}
         for src, label, dst in self.transitions:
+            if src not in layers or dst not in layers:
+                raise InvalidAutomatonError(f"transition references unknown state: {(src, label, dst)}")
             if label is EPS:
+                ok = layers[dst] == layers[src]
                 eps.setdefault(src, []).append(dst)
-            else:
+            elif type(label) is int or label in (OPEN, CLOSE) or isinstance(label, str) and label in self.sigma:
+                ok = moves[layers[src]].get(label) == layers[dst]
                 targets.setdefault((src, label), []).append(dst)
+            else:
+                raise InvalidAutomatonError(f"unknown label {label!r}")
+            if not ok:
+                raise InvalidAutomatonError(f"layer rule violated by {(src, label, dst)}")
         self.has_eps = bool(eps)
         # A duplicated edge counts as two targets, so it is nondeterministic.
         self.deterministic = not eps and all(len(v) == 1 for v in targets.values())
@@ -148,18 +170,6 @@ class NominalAutomaton:
                 raise InvalidAutomatonError(f"unknown final state {state!r}")
             if self.layers[state] != 0:
                 raise InvalidAutomatonError(f"final state {state} must have layer 0")
-        for src, label, dst in self.transitions:
-            if src not in self.layers or dst not in self.layers:
-                raise InvalidAutomatonError(f"transition references unknown state: {(src, label, dst)}")
-            lsrc = self.layers[src]
-            if type(label) is int:
-                ok = self.layers[dst] == lsrc and 1 <= label <= lsrc
-            elif label in (OPEN, CLOSE, EPS) or (isinstance(label, str) and label in self.sigma):
-                ok = self.layers[dst] == lsrc + _SHIFT.get(label, 0)
-            else:
-                raise InvalidAutomatonError(f"unknown label {label!r}")
-            if not ok:
-                raise InvalidAutomatonError(f"layer rule violated by {(src, label, dst)}")
 
     @property
     def states(self):
@@ -279,7 +289,8 @@ def determinize(m: NominalAutomaton) -> NominalAutomaton:
     behaviour is routed to one non-accepting sink per layer, materialised
     on demand.  Subsets never mix layers: the constructor checks that the
     initial state sits at layer 0, that an eps edge keeps its layer and
-    that every other label shifts it uniformly.  States are numbered
+    that every other edge leads to the layer ``Alphabet.moves`` gives
+    its label from its source's layer.  States are numbered
     breadth-first in label order, so the result is the canonical form
     that ``isomorphic`` compares.
     """
@@ -289,7 +300,7 @@ def determinize(m: NominalAutomaton) -> NominalAutomaton:
     transitions = []
     for key in order:  # grows while it is walked: breadth-first
         subset, layer = key
-        for label, nlayer in m.alphabet.moves[layer]:
+        for label, nlayer in m.alphabet.moves[layer].items():
             dst = (m.step(subset, label), nlayer)
             if dst not in ids:
                 ids[dst] = f"q{len(ids)}"
@@ -332,6 +343,7 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     dropped.  This search runs only once the depth-free one has found
     that a witness exists.
     """
+    check_strategy(strategy)
     if m1.sigma != m2.sigma:
         raise AlphabetMismatchError(
             f"letter alphabets differ: {sorted(m1.sigma)} vs {sorted(m2.sigma)}"
@@ -364,7 +376,7 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
         next_frontier = []
         for node in frontier:
             states1, states2, layer, peak = node
-            for label, nlayer in alphabet.moves[layer]:
+            for label, nlayer in alphabet.moves[layer].items():
                 peak_after = max(peak, nlayer) if fresh else 0
                 succ = (m1.step(states1, label), m2.step(states2, label), nlayer, peak_after)
                 if succ not in parent:
@@ -392,10 +404,11 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     """
     if not m.deterministic:
         raise NondeterministicInputError("minimize requires a deterministic automaton")
-    # Refinement needs a machine total on legal labels.  Every label
-    # _validate lets through is legal at its source, so a deterministic
-    # machine with as many edges as legal labels is total already; its
-    # unreachable states fall away in the final determinize.
+    # Refinement needs a machine total on legal labels.  The constructor
+    # admits a non-eps edge only if its label is a key of ``moves`` at its
+    # source's layer, so a deterministic machine with as many edges as
+    # legal labels is total already; its unreachable states fall away in
+    # the final determinize.
     legal = sum(len(m.alphabet.moves[layer]) for layer in m.layers.values())
     d = m if len(m.transitions) == legal else determinize(m)
     delta = {(src, label): dst for src, label, dst in d.transitions}
@@ -405,7 +418,7 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
         refined = {
             q: (
                 block[q],
-                tuple(block[delta[(q, label)]] for label, _ in d.alphabet.moves[d.layers[q]]),
+                tuple(block[delta[(q, label)]] for label in d.alphabet.moves[d.layers[q]]),
             )
             for q in d.layers
         }
@@ -425,7 +438,7 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     transitions = [
         (q, label, rep[block[delta[(q, label)]]])
         for q in layers
-        for label, _ in d.alphabet.moves[layers[q]]
+        for label in d.alphabet.moves[layers[q]]
     ]
     quotient = NominalAutomaton(d.sigma, d.n, layers, rep[block[d.initial]], finals, transitions)
     return determinize(quotient)

@@ -101,8 +101,6 @@ class ObservationTable:
         self.n = n
         self.alphabet = shared_alphabet(Alphabet(self.sigma, n))
         self._tokens = self.alphabet.tokens()
-        # _moves[count][tok]: the open count after ``tok`` at ``count`` open.
-        self._moves = [dict(moves) for moves in self.alphabet.moves]
         # _by_id[id]: (cell values, register count); id c <= n is the empty
         # row of count c, and _child[id, answer] the id one cell longer.
         self._by_id = [((), count) for count in range(n + 1)]
@@ -136,7 +134,7 @@ class ObservationTable:
         the register bound grows."""
         self._states = None
         legal, rows, e_words, width = self._legal, self._rows, self.e_words, len(self.e_words)
-        by_id, child, moves, answers = self._by_id, self._child, self._moves, self._answers
+        by_id, child, moves, answers = self._by_id, self._child, self.alphabet.moves, self._answers
         for suffix in e_words[len(legal[0]):]:
             tail = self._summary(suffix)
             for count, fits in enumerate(legal):
@@ -145,7 +143,7 @@ class ObservationTable:
             row = rows.get(label, -1)  # -1 for a label not seen yet
             if row == -1:
                 # One token after an S label filled before it: the count the
-                # move table pairs with that token is the empty row's id.
+                # move table maps that token to is the empty row's id.
                 parent = rows[label[:-1]]
                 row = rows[label] = None if parent is None else moves[by_id[parent][1]].get(label[-1])
             if row is None:
@@ -297,9 +295,13 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
     bound; a yes answer ends the run.  The final machine accepts exactly
     the target's legal words.
     """
-    config = config or LearnConfig()
+    config = LearnConfig() if config is None else config
+    if not isinstance(config, LearnConfig):
+        raise ValueError(f"config must be a LearnConfig, got {config!r}")
     if config.max_rounds is not None:
         check_count(config.max_rounds, "max_rounds")
+    if config.on_hypothesis is not None and not callable(config.on_hypothesis):
+        raise ValueError(f"on_hypothesis must be None or callable, got {config.on_hypothesis!r}")
     table = init_table(teacher)
     snapshots = []
     longest = 0  # length of the longest counterexample so far

@@ -44,7 +44,7 @@ def _walk(sigma, bound: EnumBound, start, step, keep=None):
     with ``start`` moved by ``step(value, token)``; no shorter word for which
     ``keep(word, value)`` is false is extended."""
     # Last move first, so the stack pops them in token order.
-    moves = [legal[::-1] for legal in shared_alphabet(Alphabet(sigma, bound.max_depth)).moves]
+    moves = [[*legal.items()][::-1] for legal in shared_alphabet(Alphabet(sigma, bound.max_depth)).moves]
     for length in range(bound.max_len + 1):
         stack = [((), 0, start)]
         while stack:

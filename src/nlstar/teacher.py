@@ -31,10 +31,10 @@ class Answer(Enum):
 
 class Teacher:
     def __init__(self, target: am.NominalAutomaton, strategy=am.Strategy.SHORTEST):
+        self.strategy = am.check_strategy(strategy)
         if not target.deterministic:
             raise am.NondeterministicInputError("teacher needs a deterministic target")
         self.target = target
-        self.strategy = strategy
         self.membership_queries = 0
         self.equivalence_queries = 0
         self.log = []

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 OPEN = "<<"
@@ -101,6 +102,9 @@ class Alphabet:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):  # copies rebuild ``moves``: a mappingproxy does not pickle
+        return type(self), (self.sigma, self.n)
+
     def tokens(self) -> tuple:
         """All tokens in the fixed scan order: letters, registers, OPEN, CLOSE."""
         out = sorted(self.sigma)
@@ -110,11 +114,11 @@ class Alphabet:
 
     @cached_property
     def moves(self) -> tuple:
-        """``moves[count]``: each token ``Summary.fits`` allows after ``count``
-        open binders, paired with the open count it leaves."""
+        """``moves[count]`` maps each token ``Summary.fits`` allows after ``count``
+        open binders, in token order, to the open count it leaves (read-only)."""
         scans = [(tok, summarize((tok,), self.sigma)) for tok in self.tokens()]
         return tuple(
-            tuple((tok, count + scan.final) for tok, scan in scans if scan.fits(self.n, count))
+            MappingProxyType({tok: count + scan.final for tok, scan in scans if scan.fits(self.n, count)})
             for count in range(self.n + 1)
         )
 

@@ -1,10 +1,14 @@
+import copy
 import json
+import pickle
 import random
+import re
 import time
+from collections.abc import Mapping
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlstar import automaton as am
@@ -30,7 +34,7 @@ from nlstar.regex import (
     parse_regex,
     theta,
 )
-from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal
+from nlstar.words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, shared_alphabet
 
 from .corpus import ACCEPTANCE_SEED, draws, random_nominal
 
@@ -116,6 +120,18 @@ def test_layer_rules_enforced():
             NominalAutomaton(AB, 0, {"q0": 0}, "q0", [], [transition])
 
 
+@pytest.mark.parametrize("field, items", [("finals", "state ids"), ("transitions", r"\(src, label, dst\) triples")])
+@pytest.mark.parametrize("value", ["q0", "abc", "", None, 5])
+def test_finals_and_transitions_must_be_collections(field, items, value):
+    # Read as its characters, finals="q0" would be the states 'q' and '0'.
+    args = {"sigma": {"a"}, "n": 0, "layers": {"q0": 0, "q": 0, "0": 0}, "initial": "q0"}
+    args.update(finals=[], transitions=[])
+    args[field] = value
+    message = rf"^{field} must be a collection of {items}, not {re.escape(repr(value))}$"
+    with pytest.raises(InvalidAutomatonError, match=message):
+        NominalAutomaton(**args)
+
+
 @pytest.mark.parametrize(
     "initial, finals, message",
     [
@@ -127,6 +143,123 @@ def test_layer_rules_enforced():
 def test_initial_and_final_states_are_checked(initial, finals, message):
     with pytest.raises(InvalidAutomatonError, match=message):
         NominalAutomaton(AB, 1, {"q0": 0, "q1": 1}, initial, finals, [])
+
+
+_SHIFT = {OPEN: 1, CLOSE: -1}
+
+
+def reference_construct(sigma, n, layers, initial, finals, transitions):
+    """The constructor before edges were checked in the pass that indexes
+    them: ``_validate`` checked every edge with its own layer arithmetic,
+    then a second loop indexed them."""
+    m = object.__new__(NominalAutomaton)
+    try:
+        m.alphabet = shared_alphabet(Alphabet(sigma, n))
+    except ValueError as exc:
+        raise InvalidAutomatonError(str(exc)) from exc
+    m.sigma, m.n = m.alphabet.sigma, m.alphabet.n
+    if not isinstance(layers, Mapping):
+        raise InvalidAutomatonError(f"layers must map state ids to layers, got {layers!r}")
+    finals = list(finals)
+    for state in (*layers, initial, *finals):
+        if not isinstance(state, str):
+            raise InvalidAutomatonError(f"state ids must be strings, got {state!r}")
+    m.layers = dict(layers)
+    m.initial = initial
+    m.finals = frozenset(finals)
+    m.transitions = tuple(map(am._triple, transitions))
+    for state, layer in m.layers.items():
+        if type(layer) is not int or not 0 <= layer <= m.n:
+            raise InvalidAutomatonError(f"state {state}: layer {layer!r} is not an int in 0..{m.n}")
+    if m.initial not in m.layers:
+        raise InvalidAutomatonError(f"unknown initial state {m.initial!r}")
+    if m.layers[m.initial] != 0:
+        raise InvalidAutomatonError("initial state must have layer 0")
+    for state in m.finals:
+        if state not in m.layers:
+            raise InvalidAutomatonError(f"unknown final state {state!r}")
+        if m.layers[state] != 0:
+            raise InvalidAutomatonError(f"final state {state} must have layer 0")
+    for src, label, dst in m.transitions:
+        if src not in m.layers or dst not in m.layers:
+            raise InvalidAutomatonError(f"transition references unknown state: {(src, label, dst)}")
+        lsrc = m.layers[src]
+        if type(label) is int:
+            ok = m.layers[dst] == lsrc and 1 <= label <= lsrc
+        elif label in (OPEN, CLOSE, EPS) or (isinstance(label, str) and label in m.sigma):
+            ok = m.layers[dst] == lsrc + _SHIFT.get(label, 0)
+        else:
+            raise InvalidAutomatonError(f"unknown label {label!r}")
+        if not ok:
+            raise InvalidAutomatonError(f"layer rule violated by {(src, label, dst)}")
+    eps, targets, closures = {}, {}, {}
+    for src, label, dst in m.transitions:
+        if label is EPS:
+            eps.setdefault(src, []).append(dst)
+        else:
+            targets.setdefault((src, label), []).append(dst)
+    m.has_eps = bool(eps)
+    m.deterministic = not eps and all(len(v) == 1 for v in targets.values())
+
+    def closure(state):
+        if state not in closures:
+            closures[state] = frozenset(am.reachable_from([state], lambda q: eps.get(q, ())))
+        return closures[state]
+
+    m.start = closure(initial)
+    m._succ = {
+        key: closure(dsts[0]) if len(dsts) == 1 else frozenset().union(*map(closure, dsts))
+        for key, dsts in targets.items()
+    }
+    return m
+
+
+# Labels in and out of sigma {"a"}: letters, registers -1..n+2, a bool and
+# a float equal to register 1, the brackets and eps.
+_LABELS = ["a", "b", -1, 0, 1, 2, 3, 4, True, 1.0, OPEN, CLOSE, EPS]
+_IDS = ["q0", "q1", "q2"]
+
+
+@st.composite
+def descriptions(draw):
+    """Small automaton descriptions, most of them close to valid: layers
+    in 0..n or out of range, unknown endpoints and malformed triples."""
+    n = draw(st.integers(0, 2))
+    count = draw(st.integers(1, 3))
+    layer = st.sampled_from([*range(n + 1)] * 4 + [-1, n + 1, True, 1.0])
+    layers = {"q0": 0, **{q: draw(layer) for q in _IDS[1:count]}}
+    endpoint = st.sampled_from([*_IDS[:count] * 3, "zz"])
+    transitions = draw(st.lists(st.tuples(endpoint, st.sampled_from(_LABELS), endpoint), max_size=5))
+    if draw(st.sampled_from([False] * 7 + [True])):
+        malformed = draw(st.sampled_from([("q0", "a"), ("q0", "a", "q0", "q0"), 5]))
+        transitions.insert(draw(st.integers(0, len(transitions))), malformed)
+    initial = draw(st.sampled_from(["q0"] * 6 + [*_IDS[1:count], "zz"]))
+    finals = draw(st.lists(endpoint, max_size=2))
+    return {"a"}, n, layers, initial, finals, transitions
+
+
+def construction(build, description):
+    """The error a builder raises, or what its machine shows."""
+    try:
+        m = build(*description)
+    except Exception as exc:
+        return type(exc), str(exc)
+    steps = {(q, label): m.step(frozenset([q]), label) for q in m.layers for label in _LABELS}
+    return am.to_json(m), m.deterministic, m.has_eps, m.start, steps
+
+
+@settings(max_examples=400, deadline=None)
+@given(descriptions())
+@example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", ["q0"], [("q0", OPEN, "q1"), ("q1", OPEN, "q1")]))
+@example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", CLOSE, "q0")]))
+@example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", EPS, "q1")]))
+@example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", OPEN, "q1"), ("q1", True, "q1")]))
+@example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", OPEN, "q1"), ("q1", 1.0, "q1")]))
+@example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", OPEN, "q1"), ("q1", 2, "q1")]))
+@example(({"a"}, 2, {"q0": 0, "q1": 1}, "q0", ["q0"], [("q0", OPEN, "q1"), ("q1", 1, "q1"), ("q1", CLOSE, "q0"),
+                                                       ("q1", "a", "q1"), ("q0", EPS, "q0")]))
+def test_one_pass_construction_matches_the_reference(description):
+    assert construction(NominalAutomaton, description) == construction(reference_construct, description)
 
 
 def test_compile_rejects_non_canonical_trees_and_letters_outside_sigma():
@@ -193,7 +326,7 @@ def test_determinize_totalises_on_legal_labels():
     delta = {(src, label) for src, label, _ in det.transitions}
     for state in det.states:
         layer = det.layers[state]
-        for label, _ in det.alphabet.moves[layer]:
+        for label in det.alphabet.moves[layer]:
             assert (state, label) in delta
 
 
@@ -397,7 +530,7 @@ def reference_equivalence(m1, m2, strategy):
         next_frontier = []
         for node in frontier:
             states1, states2, layer, peak = node
-            for label, nlayer in alphabet.moves[layer]:
+            for label, nlayer in alphabet.moves[layer].items():
                 peak_after = max(peak, nlayer) if fresh else 0
                 succ = (m1.step(states1, label), m2.step(states2, label), nlayer, peak_after)
                 if succ not in parent:
@@ -634,6 +767,15 @@ def test_json_schema_errors():
             am.from_json(corrupted(change))
     with pytest.raises(SchemaError, match="nests too deeply"):
         am.from_json("[" * 100000 + "]" * 100000)
+
+
+def test_machine_survives_copy_and_pickle():
+    machine = am.determinize(am.compile(WORKED, AB))
+    for twin in (copy.deepcopy(machine), pickle.loads(pickle.dumps(machine))):
+        assert am.to_json(twin) == am.to_json(machine)
+        assert twin.alphabet == machine.alphabet
+        assert twin.alphabet.moves == machine.alphabet.moves
+        assert am.isomorphic(twin, machine) and am.equivalence(twin, machine) is None
 
 
 def test_json_empty_machine():

@@ -204,6 +204,20 @@ def test_learn_bytes_match_golden(name, tmp_path):
     assert log.read_bytes() == (GOLDEN / f"{name}.log").read_bytes()
 
 
+@pytest.mark.parametrize("emit", ["json", "dot"])
+def test_compile_bytes_match_golden(emit):
+    # golden/ holds the recorded stdout of compiling the introduction's
+    # expression: the states, layers and edges the constructor keeps, in order.
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlstar.cli", "compile", "--target", "<n. <m.m>* n <k.k*> n>", "--emit", emit],
+        capture_output=True,
+        check=True,
+        env=CHILD_ENV,
+    )
+    assert proc.stdout == (GOLDEN / f"compile_{emit}.stdout").read_bytes()
+    assert proc.stderr == b""
+
+
 # The largest learn-scaled bench target: six letters and four nested
 # binders.  Its stdout, stderr and log total about 1 MB, so only their
 # SHA-256 digests are recorded.

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -234,11 +235,25 @@ def test_round_cap_raises():
     assert err.value.stats.equivalence_queries == 1
 
 
-@pytest.mark.parametrize("bad", [-1, True, 1.5, "3"])
-def test_bad_round_cap_is_rejected_before_any_query(bad):
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        *[pytest.param(LearnConfig(max_rounds=bad), f"max_rounds must be a non-negative int, got {bad!r}", id=str(bad))
+          for bad in (-1, True, 1.5, "3")],
+        # A callback that cannot be called would fail only at the first hypothesis.
+        pytest.param(LearnConfig(on_hypothesis=5), "on_hypothesis must be None or callable, got 5", id="callback-5"),
+        pytest.param(
+            LearnConfig(on_hypothesis="print"), "on_hypothesis must be None or callable, got 'print'", id="callback-str"
+        ),
+        pytest.param({"max_rounds": 3}, "config must be a LearnConfig, got {'max_rounds': 3}", id="dict"),
+        pytest.param({}, "config must be a LearnConfig, got {}", id="empty-dict"),
+        pytest.param((3, None), "config must be a LearnConfig, got (3, None)", id="tuple"),
+    ],
+)
+def test_bad_round_cap_is_rejected_before_any_query(config, message):
     teacher = worked_teacher()
-    with pytest.raises(ValueError, match=f"max_rounds must be a non-negative int, got {bad!r}"):
-        run_nlstar(teacher, LearnConfig(max_rounds=bad))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_nlstar(teacher, config)
     assert teacher.membership_queries == 0
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,22 @@ def test_teacher_needs_a_deterministic_target():
     compiled = am.compile(canonicalize(parse_regex("ab<n.n*>", AB)), AB)
     with pytest.raises(NondeterministicInputError):
         Teacher(compiled)
+
+
+@pytest.mark.parametrize("strategy", ["max-fresh", "shortest", None, 7, Strategy])
+def test_a_strategy_that_is_no_member_is_rejected(strategy):
+    target = am.determinize(am.compile(canonicalize(parse_regex("aaa + <n.n>", {"a"})), {"a"}))
+    empty = am.NominalAutomaton({"a"}, 0, {"q0": 0}, "q0", [], [])
+    # The member picks the deepest shortest witness; its value would pick min-fresh.
+    assert am.equivalence(target, empty, Strategy.MAX_FRESH) == (OPEN, 1, CLOSE)
+    message = f"strategy must be a Strategy member, got {strategy!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        am.equivalence(target, empty, strategy)
+    # Before any search: the letters of these two machines differ.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        am.equivalence(target, am.compile(canonicalize(parse_regex("b", {"b"}))), strategy)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Teacher(target, strategy)
 
 
 def test_membership_initial_table_values():

@@ -1,4 +1,5 @@
 import re
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -69,7 +70,10 @@ def test_alphabet_tokens_with_binders():
     ],
 )
 def test_moves_are_the_pinned_tables(sigma, n, moves):
-    assert Alphabet(sigma, n).moves == tuple(tuple(legal) for legal in moves)
+    tables = Alphabet(sigma, n).moves
+    assert type(tables) is tuple and all(type(table) is MappingProxyType for table in tables)
+    # Equal as maps and in token order.
+    assert [list(table.items()) for table in tables] == moves
 
 
 def test_alphabet_rejects_bad_letters():
@@ -178,6 +182,8 @@ def test_alphabet_is_an_immutable_value():
         with pytest.raises(AttributeError):
             setattr(alphabet, field, None)
     assert alphabet.moves is alphabet.moves
+    with pytest.raises(TypeError):
+        alphabet.moves[0]["a"] = 0
 
 
 def test_is_legal_close_without_open():
