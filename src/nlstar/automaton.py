@@ -91,11 +91,11 @@ def _collection(value, field, items):
 
 
 def _triple(transition):
-    try:
-        src, label, dst = transition
-    except (TypeError, ValueError):  # not iterable, or not three items
-        raise InvalidAutomatonError(f"transition {transition!r} is not a (src, label, dst) triple") from None
-    return src, label, dst
+    """``transition`` as a tuple.  Only a tuple or a list of three items
+    counts: a three-item string or dict would unpack as well."""
+    if not isinstance(transition, (tuple, list)) or len(transition) != 3:
+        raise InvalidAutomatonError(f"transition {transition!r} is not a (src, label, dst) triple")
+    return tuple(transition)
 
 
 class NominalAutomaton:
@@ -104,7 +104,10 @@ class NominalAutomaton:
     ``layers`` maps state ids (strings) to their layer; ``transitions``
     is a sequence of (src, label, dst) triples with labels drawn from
     sigma, ints, OPEN, CLOSE or EPS.  ``alphabet`` is the token alphabet
-    of sigma and n.
+    of sigma and n.  ``deterministic`` means no eps edge and one target
+    per (state, label); such a machine exposes its edges as ``delta``,
+    ``{state: {label: dst}}`` with a row for every state, which callers
+    must not mutate.  Otherwise ``delta`` is None.
     """
 
     def __init__(self, sigma, n, layers, initial, finals, transitions):
@@ -125,8 +128,9 @@ class NominalAutomaton:
         transitions = _collection(transitions, "transitions", "(src, label, dst) triples")
         self.transitions = tuple(map(_triple, transitions))
         self._validate()
-        # One pass checks each edge against the move table and indexes it.
-        moves, eps, targets, closures = self.alphabet.moves, {}, {}, {}
+        # One pass checks each edge against the move table and indexes it:
+        # delta[src][label] holds the first target, more[(src, label)] the rest.
+        moves, eps, more, closures, delta = self.alphabet.moves, {}, {}, {}, {q: {} for q in layers}
         for src, label, dst in self.transitions:
             if src not in layers or dst not in layers:
                 raise InvalidAutomatonError(f"transition references unknown state: {(src, label, dst)}")
@@ -135,14 +139,18 @@ class NominalAutomaton:
                 eps.setdefault(src, []).append(dst)
             elif type(label) is int or label in (OPEN, CLOSE) or isinstance(label, str) and label in self.sigma:
                 ok = moves[layers[src]].get(label) == layers[dst]
-                targets.setdefault((src, label), []).append(dst)
+                if label in delta[src]:
+                    more.setdefault((src, label), []).append(dst)
+                else:
+                    delta[src][label] = dst
             else:
                 raise InvalidAutomatonError(f"unknown label {label!r}")
             if not ok:
                 raise InvalidAutomatonError(f"layer rule violated by {(src, label, dst)}")
         self.has_eps = bool(eps)
         # A duplicated edge counts as two targets, so it is nondeterministic.
-        self.deterministic = not eps and all(len(v) == 1 for v in targets.values())
+        self.deterministic = not eps and not more
+        self.delta = delta if self.deterministic else None
 
         def closure(state):
             if state not in closures:
@@ -152,10 +160,9 @@ class NominalAutomaton:
         # The eps-closed start set, and _succ[(src, label)]: the closed set of
         # the key's targets (a key with one target shares that state's closure).
         self.start = closure(initial)
-        self._succ = {
-            key: closure(dsts[0]) if len(dsts) == 1 else frozenset().union(*map(closure, dsts))
-            for key, dsts in targets.items()
-        }
+        self._succ = {(src, label): closure(dst) for src, row in delta.items() for label, dst in row.items()}
+        for key, dsts in more.items():
+            self._succ[key] = self._succ[key].union(*map(closure, dsts))
 
     def _validate(self):
         for state, layer in self.layers.items():
@@ -408,17 +415,17 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     # admits a non-eps edge only if its label is a key of ``moves`` at its
     # source's layer, so a deterministic machine with as many edges as
     # legal labels is total already; its unreachable states fall away in
-    # the final determinize.
+    # the final determinize.  Rows of ``d.delta`` are read by label, in
+    # ``moves`` order, never in the order the edges were listed.
     legal = sum(len(m.alphabet.moves[layer]) for layer in m.layers.values())
     d = m if len(m.transitions) == legal else determinize(m)
-    delta = {(src, label): dst for src, label, dst in d.transitions}
 
     block = {q: (d.layers[q], q in d.finals) for q in d.layers}
     while True:
         refined = {
             q: (
                 block[q],
-                tuple(block[delta[(q, label)]] for label in d.alphabet.moves[d.layers[q]]),
+                tuple(block[d.delta[q][label]] for label in d.alphabet.moves[d.layers[q]]),
             )
             for q in d.layers
         }
@@ -436,7 +443,7 @@ def minimize(m: NominalAutomaton) -> NominalAutomaton:
     layers = {q: d.layers[q] for q in rep.values()}
     finals = [q for q in layers if q in d.finals]
     transitions = [
-        (q, label, rep[block[delta[(q, label)]]])
+        (q, label, rep[block[d.delta[q][label]]])
         for q in layers
         for label in d.alphabet.moves[layers[q]]
     ]
@@ -545,7 +552,7 @@ def to_dot(m: NominalAutomaton) -> str:
     """Graphviz rendering: layers annotate nodes, finals are doubled."""
 
     def esc(text):
-        return str(text).replace('"', '\\"')
+        return str(text).replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph nominal_automaton {", "  rankdir=LR;", '  __start [shape=point label=""];']
     for q, layer in m.layers.items():

@@ -38,12 +38,8 @@ class Teacher:
         self.membership_queries = 0
         self.equivalence_queries = 0
         self.log = []
-        # _edges[state][token]: the one successor (a deterministic target
-        # has no silent moves), so a token costs one lookup in its state's dict.
-        self._edges = {state: {} for state in target.layers}
         incoming = {}
-        for src, label, dst in target.transitions:
-            self._edges[src][label] = dst
+        for src, _, dst in target.transitions:
             incoming.setdefault(dst, []).append(src)
         # States from which a final state can be reached.
         self._live = am.reachable_from(target.finals, lambda q: incoming.get(q, ()))
@@ -68,7 +64,8 @@ class Teacher:
         string is not a word: its characters would walk as letters."""
         if isinstance(word, str):
             raise IllegalWordError(f"membership query for a string, not a word: {word!r}")
-        state, edges = self.target.initial, self._edges
+        # A token costs one lookup: its state's row of target.delta.
+        state, delta = self.target.initial, self.target.delta
         for tok in word:
             # Only str and non-bool int tokens walk: True == 1 and 1.0 == 1
             # would find register 1's edge.
@@ -77,7 +74,7 @@ class Teacher:
             ):
                 state = None
                 break
-            state = edges[state].get(tok)
+            state = delta[state].get(tok)
             if state is None:
                 break
         if state is None and not is_legal(word, self.target.alphabet):

@@ -115,9 +115,11 @@ def test_layer_rules_enforced():
         NominalAutomaton(AB, 0, [(["x"], 0)], "q0", [], [])
     with pytest.raises(InvalidAutomatonError, match="map state ids to layers, got 5"):
         NominalAutomaton(AB, 0, 5, "q0", [], [])
-    for transition in [("q0", "a"), ("q0", "a", "q0", "q0"), 5]:
-        with pytest.raises(InvalidAutomatonError, match="not a .src, label, dst. triple"):
-            NominalAutomaton(AB, 0, {"q0": 0}, "q0", [], [transition])
+    # A three-item string, dict or iterator unpacks too; only a tuple or a list is a triple.
+    for transition in [("q0", "a"), ("q0", "a", "q0", "q0"), 5, "paq", {"p": 1, "a": 2, "q": 3}, iter("paq")]:
+        with pytest.raises(InvalidAutomatonError, match=rf"^transition {re.escape(repr(transition))} is not a "):
+            NominalAutomaton(AB, 0, {"q0": 0, "p": 0, "q": 0}, "q0", [], [transition])
+    assert NominalAutomaton(AB, 0, {"p": 0, "q": 0}, "p", [], [["p", "a", "q"]]).transitions == (("p", "a", "q"),)
 
 
 @pytest.mark.parametrize("field, items", [("finals", "state ids"), ("transitions", r"\(src, label, dst\) triples")])
@@ -200,6 +202,11 @@ def reference_construct(sigma, n, layers, initial, finals, transitions):
             targets.setdefault((src, label), []).append(dst)
     m.has_eps = bool(eps)
     m.deterministic = not eps and all(len(v) == 1 for v in targets.values())
+    m.delta = None
+    if m.deterministic:
+        m.delta = {q: {} for q in m.layers}
+        for (src, label), [dst] in targets.items():
+            m.delta[src][label] = dst
 
     def closure(state):
         if state not in closures:
@@ -231,8 +238,9 @@ def descriptions(draw):
     endpoint = st.sampled_from([*_IDS[:count] * 3, "zz"])
     transitions = draw(st.lists(st.tuples(endpoint, st.sampled_from(_LABELS), endpoint), max_size=5))
     if draw(st.sampled_from([False] * 7 + [True])):
-        malformed = draw(st.sampled_from([("q0", "a"), ("q0", "a", "q0", "q0"), 5]))
-        transitions.insert(draw(st.integers(0, len(transitions))), malformed)
+        # A three-item string or dict would unpack as a triple.
+        malformed = [("q0", "a"), ("q0", "a", "q0", "q0"), 5, "q0a", {"q0": 0, "a": 1, "q1": 2}]
+        transitions.insert(draw(st.integers(0, len(transitions))), draw(st.sampled_from(malformed)))
     initial = draw(st.sampled_from(["q0"] * 6 + [*_IDS[1:count], "zz"]))
     finals = draw(st.lists(endpoint, max_size=2))
     return {"a"}, n, layers, initial, finals, transitions
@@ -245,7 +253,7 @@ def construction(build, description):
     except Exception as exc:
         return type(exc), str(exc)
     steps = {(q, label): m.step(frozenset([q]), label) for q in m.layers for label in _LABELS}
-    return am.to_json(m), m.deterministic, m.has_eps, m.start, steps
+    return am.to_json(m), m.deterministic, m.has_eps, m.start, steps, m.delta
 
 
 @settings(max_examples=400, deadline=None)
@@ -667,6 +675,14 @@ def test_minimize_total_input_skips_first_determinize(cne, monkeypatch):
     monkeypatch.setattr(am, "determinize", lambda m: calls.append(m) or determinize(m))
     assert am.to_json(am.minimize(total)) == am.to_json(am.minimize(det))
     assert len(calls) == 2  # only the final one of each minimize
+    # Listed backwards, every row of delta holds its labels in reverse:
+    # minimize reads the rows by label, not in row order.
+    backwards = NominalAutomaton(
+        total.sigma, total.n, total.layers, total.initial, total.finals, total.transitions[::-1]
+    )
+    calls.clear()
+    assert am.to_json(am.minimize(backwards)) == am.to_json(am.minimize(det))
+    assert len(calls) == 2
     # A deterministic machine with a missing edge is totalised first.
     partial = NominalAutomaton(det.sigma, det.n, det.layers, det.initial, det.finals, det.transitions[1:])
     calls.clear()
@@ -789,3 +805,48 @@ def test_dot_output_shapes():
     assert dot.count("doublecircle") == 1
     assert dot.count("[shape=circle") + dot.count("[shape=doublecircle") == 7
     assert dot.startswith("digraph")
+
+
+# A DOT quoted string runs to the first " not escaped by a backslash;
+# inside it, \" stands for " and \\ for \.
+_DOT_TOKEN = re.compile(r'\s*(?:"((?:[^"\\]|\\.)*)"|(->|[\[\]{};=])|([A-Za-z_][A-Za-z_0-9]*))', re.DOTALL)
+
+
+def dot_quoted(text):
+    """The quoted strings of a DOT text, unescaped, in order; an
+    ``AssertionError`` if the text does not split into DOT tokens."""
+    quoted, pos = [], 0
+    while text[pos:].strip():
+        token = _DOT_TOKEN.match(text, pos)
+        assert token, f"no DOT token at {text[pos:pos + 20]!r}"
+        if token[1] is not None:
+            quoted.append(re.sub(r'\\(["\\])', r"\1", token[1]))
+        pos = token.end()
+    return quoted
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(), min_size=1, max_size=4, unique=True).flatmap(
+        lambda ids: st.tuples(
+            st.just(ids),
+            st.lists(st.sampled_from(ids), max_size=3),
+            st.lists(
+                st.tuples(st.sampled_from(ids), st.sampled_from(["a", "b", EPS]), st.sampled_from(ids)), max_size=5
+            ),
+        )
+    )
+)
+@example((["q\\"], [], [("q\\", "a", "q\\")]))
+@example((['"', "\\", '\\"', "\n", "x\\n"], ["\\"], [('\\"', EPS, "x\\n")]))
+def test_dot_quoted_ids_read_back_as_state_ids(machine):
+    ids, finals, transitions = machine
+    m = NominalAutomaton(AB, 0, dict.fromkeys(ids, 0), ids[0], finals, transitions)
+    expected = [""]  # the start marker's empty label
+    for q in ids:
+        expected += [q, f"{q}\\n|0|"]
+    expected.append(ids[0])
+    for src, label, dst in transitions:
+        expected += [src, dst, str(label)]
+    assert dot_quoted(am.to_dot(m)) == expected
+    assert am.to_json(am.from_json(am.to_json(m))) == am.to_json(m)
