@@ -132,6 +132,8 @@ class NominalAutomaton:
         # delta[src][label] holds the first target, more[(src, label)] the rest.
         moves, eps, more, closures, delta = self.alphabet.moves, {}, {}, {}, {q: {} for q in layers}
         for src, label, dst in self.transitions:
+            if not isinstance(src, str) or not isinstance(dst, str):  # before hashing them
+                raise InvalidAutomatonError(f"state ids must be strings, got transition {(src, label, dst)}")
             if src not in layers or dst not in layers:
                 raise InvalidAutomatonError(f"transition references unknown state: {(src, label, dst)}")
             if label is EPS:

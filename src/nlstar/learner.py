@@ -10,18 +10,18 @@ illegal keep an all-bottom row and never participate in closedness or
 consistency checks.
 
 The table keeps one ``words.Summary`` per suffix and, per open count,
-which columns a label ending with that count may take; these legality
-columns grow by one entry per new suffix.  A new label is one token
-after an S label filled before it, so its legality and register count
-come from the move table ``Alphabet.moves``; ``summarize`` runs only on
-suffixes and counterexamples.  Rows are hash-consed ids, grown from one
-empty row per register count by ``(id, answer)`` steps: a new cell
-costs one memo lookup and one dict step, and closedness, consistency
-and the hypothesis compare ints.  Rows and legality columns are rebuilt
-only when the register bound grows; an illegal row is not looked at
-again until then.  A closedness repair fills only the witness's
-one-token extensions, the only new labels.  The queries and their
-order are those of a full refill.  Column 0 is always the empty suffix.
+which columns a label ending with that count may take.  A new label is
+one token after an S label filled before it, so its legality and
+register count come from the move table ``Alphabet.moves``.  Rows are
+hash-consed ids grown by ``(id, answer)`` steps, so closedness,
+consistency and the hypothesis compare ints.  Rows and legality columns
+are rebuilt only when the register bound grows.  An index of S is kept
+up to date: S's row ids numbered as states, the pairs of S words that
+share a row, and S.A in S order with a closedness cursor.  A full fill
+(new column or counterexample) rebuilds it.  A closedness repair makes
+the witness a state and fills only its one-token extensions, the only
+new labels; the queries and their order are those of a full refill.
+Column 0 is always the empty suffix.
 
 The learner starts from the bare letter alphabet and discovers binders
 through counterexamples: a counterexample of depth d raises the table's
@@ -95,6 +95,7 @@ class ObservationTable:
         self._answers = {}
         self._summaries = {}
         self._set_depth(0)
+        self._ext = [(tok,) for tok in self._tokens]  # S.A in S order; S words recur in it
 
     def _set_depth(self, n):
         """Adopt register bound ``n``; the next fill rebuilds every row."""
@@ -108,8 +109,6 @@ class ObservationTable:
         self._rows = {(): 0}  # label -> row id, None if illegal; epsilon starts empty
         # _legal[count][j]: suffix j may follow a label that leaves count binders open.
         self._legal = [[] for _ in range(n + 1)]
-        self._labels = None
-        self._states = None
 
     def _summary(self, word):
         if word not in self._summaries:
@@ -118,28 +117,22 @@ class ObservationTable:
 
     def labels(self):
         """S followed by the one-token extensions not already in S, in scan order."""
-        if self._labels is None:
-            labels = dict.fromkeys(self.s_words)
-            for s in self.s_words:
-                labels.update(dict.fromkeys(s + (tok,) for tok in self._tokens))
-            self._labels = list(labels)
-        return self._labels
+        return list(dict.fromkeys(self.s_words + self._ext))
 
     def fill(self, teacher: Teacher, labels=None):
         """Extend T over (S u S.A).E with membership queries, bottom where illegal.
 
-        Only cells missing from the stored rows of ``labels`` (default:
-        every label) are visited, label by label, so the queries come in
-        the order a full refill asks them.  Illegal rows stay None until
-        the register bound grows."""
-        self._states = None
+        Only cells missing from the stored rows of ``labels`` (default: S
+        then S.A) are visited, label by label, so the queries come in the
+        order a full refill asks them.  Illegal rows stay None until the
+        register bound grows.  A full fill rebuilds the index of S."""
         legal, rows, e_words, width = self._legal, self._rows, self.e_words, len(self.e_words)
         by_id, child, moves, answers = self._by_id, self._child, self.alphabet.moves, self._answers
         for suffix in e_words[len(legal[0]):]:
             tail = self._summary(suffix)
             for count, fits in enumerate(legal):
                 fits.append(tail is not None and tail.fits(self.n, count))
-        for label in self.labels() if labels is None else labels:
+        for label in self.s_words + self._ext if labels is None else labels:
             row = rows.get(label, -1)  # -1 for a label not seen yet
             if row == -1:
                 # One token after an S label filled before it: the count the
@@ -164,6 +157,19 @@ class ObservationTable:
                     by_id.append((by_id[row][0] + (answer,), count))
                 row = longer
             rows[label] = row
+        if labels is None:
+            self._index()
+
+    def _index(self):
+        """Number S's row ids in first-occurrence order, pair each later S word
+        with the first of its row, rewind the closedness cursor.  Every S word has
+        a row: epsilon, witnesses (``extend_close`` checks) and a legal counterexample's prefixes."""
+        first, self._pairs, self._cursor = {}, [], 0
+        for s in self.s_words:
+            head = first.setdefault(self._rows[s], s)  # s itself if first of its row
+            if head is not s:
+                self._pairs.append((head, s))
+        self._states = {row: f"q{number}" for number, row in enumerate(first)}
 
     def row(self, label):
         """(cell values over E, register count), or None for illegal labels."""
@@ -179,41 +185,43 @@ class ObservationTable:
         return self.values(label)[self._columns[suffix]]
 
     def check_closed(self):
-        """First one-token extension whose row matches no S row, or None."""
-        rows, ids = self._rows, self.state_map()
-        extensions = self.labels()[len(self.s_words):]
-        return next((x for x in extensions if rows[x] is not None and rows[x] not in ids), None)
+        """First one-token extension whose row matches no S row, or None.  Those
+        before the cursor are illegal or have S rows, and stay so until a full fill."""
+        rows, ids, ext = self._rows, self._states, self._ext
+        while self._cursor < len(ext):
+            row = rows[ext[self._cursor]]
+            if row is not None and row not in ids:
+                return ext[self._cursor]
+            self._cursor += 1
+        return None
 
     def check_consistent(self):
-        """First token.suffix extension separating two equal S rows, or None."""
-        rows, groups = self._rows, {}
-        for s in self.s_words:
-            if rows[s] is not None:
-                groups.setdefault(rows[s], []).append(s)
-        clashes = [members for members in groups.values() if len(members) > 1]
+        """First token.suffix extension separating two equal S rows, or None.
+        Compares only the pairs of ``_index``, dropped once no pair splits."""
         # Tokens are scanned first, then suffixes: report the leftmost split.
         for tok in self._tokens:
             splits = []
-            for members in clashes:
+            for first, other in self._pairs:
                 # Equal rows' tok-extensions share a count: ids differ iff a cell does.
-                first, *others = [s + (tok,) for s in members]
-                for other in others:
-                    if rows[other] != rows[first]:
-                        base, cells = self.values(first), self.values(other)
-                        splits.append(next(i for i, x in enumerate(base) if x is not cells[i]))
+                if self._rows[first + (tok,)] != self._rows[other + (tok,)]:
+                    base, cells = self.values(first + (tok,)), self.values(other + (tok,))
+                    splits.append(next(i for i, x in enumerate(base) if x is not cells[i]))
             if splits:
                 return (tok,) + self.e_words[min(splits)]
+        self._pairs = []
         return None
 
     def extend_close(self, witness, teacher: Teacher):
         """Move a closedness witness into S; prefix-closure is preserved
-        because the witness is a one-token extension of an S word."""
-        if witness in self.s_words:
-            raise ValueError(f"{witness!r} is already a row label in S")
+        because the witness is a one-token extension of an S word.  The
+        witness becomes a new state, and only its extensions are new labels."""
+        row = self._rows.get(witness)
+        if row is None or row in self._states:
+            raise ValueError(f"{witness!r} has no row, or is already a row label in S or has the row of one")
         self.s_words.append(witness)
-        self._labels = None
-        # Every other row is complete: only the witness's extensions are new.
-        self.fill(teacher, [witness + (tok,) for tok in self._tokens])
+        self._states[row] = f"q{len(self._states)}"
+        self._ext += [witness + (tok,) for tok in self._tokens]
+        self.fill(teacher, self._ext[-len(self._tokens):])
 
     def extend_consistent(self, column, teacher: Teacher):
         """Add the separating word to E; suffix-closure is preserved because
@@ -232,27 +240,19 @@ class ObservationTable:
         summary = summarize(counterexample, self.sigma)
         if summary is None or not summary.fits(summary.peak):
             raise IllegalWordError(f"illegal counterexample: {serialize_word(counterexample)!r}")
-        existing = set(self.s_words)
-        self.s_words += [p for p in prefixes(counterexample) if p not in existing]
-        self._labels = None
+        self.s_words = list(dict.fromkeys(self.s_words + prefixes(counterexample)))
         if summary.peak > self.n:
             self._set_depth(summary.peak)
+        self._ext = [s + (tok,) for s in self.s_words for tok in self._tokens]
         self.fill(teacher)
 
     def state_map(self):
         """Distinct row ids of S, numbered in first-occurrence order."""
-        if self._states is None:
-            self._states = {}
-            for s in self.s_words:
-                key = self._rows[s]
-                if key is not None and key not in self._states:
-                    self._states[key] = f"q{len(self._states)}"
         return self._states
 
     def state_of(self, label):
         """Hypothesis state a label maps to, or None for illegal labels."""
-        key = self._rows[label]
-        return None if key is None else self.state_map().get(key)
+        return self._states.get(self._rows[label])
 
     def to_automaton(self) -> am.NominalAutomaton:
         """Hypothesis machine of a closed and consistent table.

@@ -183,6 +183,8 @@ def reference_construct(sigma, n, layers, initial, finals, transitions):
         if m.layers[state] != 0:
             raise InvalidAutomatonError(f"final state {state} must have layer 0")
     for src, label, dst in m.transitions:
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise InvalidAutomatonError(f"state ids must be strings, got transition {(src, label, dst)}")
         if src not in m.layers or dst not in m.layers:
             raise InvalidAutomatonError(f"transition references unknown state: {(src, label, dst)}")
         lsrc = m.layers[src]
@@ -230,12 +232,13 @@ _IDS = ["q0", "q1", "q2"]
 @st.composite
 def descriptions(draw):
     """Small automaton descriptions, most of them close to valid: layers
-    in 0..n or out of range, unknown endpoints and malformed triples."""
+    in 0..n or out of range, unknown or unhashable endpoints and malformed
+    triples."""
     n = draw(st.integers(0, 2))
     count = draw(st.integers(1, 3))
     layer = st.sampled_from([*range(n + 1)] * 4 + [-1, n + 1, True, 1.0])
     layers = {"q0": 0, **{q: draw(layer) for q in _IDS[1:count]}}
-    endpoint = st.sampled_from([*_IDS[:count] * 3, "zz"])
+    endpoint = st.sampled_from([*_IDS[:count] * 3, "zz", ["x"]])
     transitions = draw(st.lists(st.tuples(endpoint, st.sampled_from(_LABELS), endpoint), max_size=5))
     if draw(st.sampled_from([False] * 7 + [True])):
         # A three-item string or dict would unpack as a triple.
@@ -260,6 +263,8 @@ def construction(build, description):
 @given(descriptions())
 @example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", ["q0"], [("q0", OPEN, "q1"), ("q1", OPEN, "q1")]))
 @example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", CLOSE, "q0")]))
+@example(({"a"}, 0, {"q0": 0}, "q0", [], [("q0", "a", ["x"])]))
+@example(({"a"}, 0, {"q0": 0}, "q0", [], [(["x"], "a", "q0")]))
 @example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", EPS, "q1")]))
 @example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", OPEN, "q1"), ("q1", True, "q1")]))
 @example(({"a"}, 1, {"q0": 0, "q1": 1}, "q0", [], [("q0", OPEN, "q1"), ("q1", 1.0, "q1")]))
@@ -777,6 +782,9 @@ def test_json_schema_errors():
             r"state ids must be strings, got \{'id': \['x'\], 'layer': 0\}",
             lambda doc: doc["states"].append({"id": ["x"], "layer": 0}),
         ),
+        # an unhashable transition endpoint is named with its transition
+        (r"state ids must be strings, got transition \('q0', 'a', \['x'\]\)",
+         lambda doc: doc["transitions"].append({"from": "q0", "label": {"letter": "a"}, "to": ["x"]})),
     ]
     for field, change in cases:
         with pytest.raises(SchemaError, match=field):

@@ -229,17 +229,36 @@ WIDE_DIGESTS = {
 }
 
 
-def test_wide_learn_bytes_match_recorded_digests(tmp_path):
+# The k-th letter from the end at k = 10: 2,048 states, nearly all of
+# them found by closedness repairs, so a long run of the repair loop.
+LONG_REPAIR_TARGET = "(a+b)*a" + "(a+b)" * 10
+LONG_REPAIR_DIGESTS = {
+    "stdout": "79d982352504dcfcaed6c01454730c3faeb970f32cc2eef5507ab997a8bf70ce",
+    "stderr": "bb57f70392288e0b19189f9f39ea34d10896ac4e3b1198ee14ca0bb12e446ca5",
+    "log": "563bb68bd8d70b26458165e292d9e9250793229d9430c981d02ea9115888a55c",
+}
+
+
+def learn_digests(tmp_path, target, emit):
+    """SHA-256 digests of the stdout, stderr and --log bytes of one learn run."""
     log = tmp_path / "queries.log"
     proc = subprocess.run(
-        [sys.executable, "-m", "nlstar.cli", "learn", "--target", WIDE_TARGET,
-         "--emit", "table", "--log", str(log)],
+        [sys.executable, "-m", "nlstar.cli", "learn", "--target", target,
+         "--emit", emit, "--log", str(log)],
         capture_output=True,
         check=True,
         env=CHILD_ENV,
     )
     outputs = {"stdout": proc.stdout, "stderr": proc.stderr, "log": log.read_bytes()}
-    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == WIDE_DIGESTS
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
+def test_wide_learn_bytes_match_recorded_digests(tmp_path):
+    assert learn_digests(tmp_path, WIDE_TARGET, "table") == WIDE_DIGESTS
+
+
+def test_long_repair_learn_bytes_match_recorded_digests(tmp_path):
+    assert learn_digests(tmp_path, LONG_REPAIR_TARGET, "json") == LONG_REPAIR_DIGESTS
 
 
 def test_strategy_script_output_matches_golden():

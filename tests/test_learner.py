@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,14 @@ def test_table_rejects_repeated_labels_and_illegal_counterexamples():
     table = init_table(teacher)
     with pytest.raises(ValueError, match="already a row label in S"):
         table.extend_close((), teacher)
+    # ("a",) has the row of epsilon, so it is no closedness witness.
+    with pytest.raises(ValueError, match="or has the row of one"):
+        table.extend_close(("a",), teacher)
+    # A label with no row, never filled or illegal, would be a state without one.
+    with pytest.raises(ValueError, match="has no row"):
+        table.extend_close(("b", "a"), teacher)
+    with pytest.raises(ValueError, match="has no row"):
+        table_at_t3(teacher).extend_close((CLOSE,), teacher)
     with pytest.raises(ValueError, match="already a column label in E"):
         table.extend_consistent((), teacher)
     with pytest.raises(IllegalWordError, match="illegal counterexample"):
@@ -345,11 +354,19 @@ def test_learner_only_queries_legal_words():
 class reference_table(ObservationTable):
     """The table on tuple rows: each label's row is ``(values, count)``,
     legality comes from summarizing the label, and closedness,
-    consistency and the hypothesis hash and compare those tuples."""
+    consistency and the hypothesis hash and compare those tuples.  The
+    labels, the state map and ``extend_close`` work from the S list
+    alone, without the table's index of S."""
 
     def _set_depth(self, n):
         super()._set_depth(n)
         self._rows = {}
+
+    def labels(self):
+        labels = dict.fromkeys(self.s_words)
+        for s in self.s_words:
+            labels.update(dict.fromkeys(s + (tok,) for tok in self._tokens))
+        return list(labels)
 
     def fill(self, teacher, labels=None):
         self._states = None
@@ -381,6 +398,12 @@ class reference_table(ObservationTable):
                     answer = self._answers[word] = teacher.membership(word)
                 values.append(answer)
             rows[label] = (tuple(values), count)
+
+    def extend_close(self, witness, teacher):
+        if witness in self.s_words:
+            raise ValueError(f"{witness!r} is already a row label in S")
+        self.s_words.append(witness)
+        self.fill(teacher, [witness + (tok,) for tok in self._tokens])
 
     def row(self, label):
         return self._rows[label]
@@ -420,6 +443,10 @@ class reference_table(ObservationTable):
                     self._states[key] = f"q{len(self._states)}"
         return self._states
 
+    def state_of(self, label):
+        key = self._rows[label]
+        return None if key is None else self.state_map().get(key)
+
     def to_automaton(self):
         ids = self.state_map()
         layers = {state: register for (_, register), state in ids.items()}
@@ -456,6 +483,8 @@ def assert_tables_agree(table, reference):
     assert [table.values(x) for x in labels] == [reference.values(x) for x in labels]
     assert table.check_closed() == reference.check_closed()
     assert table.check_consistent() == reference.check_consistent()
+    # Every S word has a row, so each is a state of the index.
+    assert None not in [table.state_of(s) for s in table.s_words]
     # The new table numbers row ids, not row tuples, and names the same states.
     assert all(type(row) is int for row in table.state_map())
     assert list(table.state_map().values()) == list(reference.state_map().values())
@@ -511,11 +540,32 @@ def test_row_ids_agree_with_the_tuple_row_reference_on_the_scaled_pool():
         learn_beside_the_reference(target)
 
 
+def test_row_ids_agree_with_the_tuple_row_reference_on_long_closedness_runs():
+    # The k-th letter from the end has 2^(k+1) states, nearly all of them
+    # found by closedness repairs, so the cursor, the pairs and the state
+    # numbering are checked after each of about 230 extend_close steps.
+    targets = [("(a+b)*a" + "(a+b)" * k, AB) for k in range(1, 7)]
+    targets.append(("<n. (a+n)* n (a+n)(a+n)(a+n)>", {"a"}))
+    for text, sigma in targets:
+        learn_beside_the_reference(Teacher.from_regex(text, sigma).target)
+
+
+def test_long_repair_run_is_linear_in_the_table():
+    # (a+b)* a (a+b)^10 has 2,048 states.  Rebuilding the state map and
+    # the extension labels from all of S on every repair step took 5 to
+    # 9 s on a 2-core machine; keeping them up to date takes about 0.2 s.
+    teacher = Teacher.from_regex("(a+b)*a" + "(a+b)" * 10, AB)
+    started = time.monotonic()
+    learned, stats = run_nlstar(teacher)
+    assert time.monotonic() - started < 2.0
+    assert (am.state_count(learned), stats.membership_queries, stats.s_size) == (2048, 24587, 2048)
+
+
 def full_refill(table, teacher, labels=None):
     """Drop every stored row and row id and refill every label; the answer
     memo stays.  A row's id is found by walking the hash-consing dict from
-    the empty row of the label's count, one cell at a time."""
-    table._states = None
+    the empty row of the label's count, one cell at a time, and the
+    index of S is rebuilt from the new ids."""
     table._rows, table._child = {}, {}
     by_id = table._by_id = table._by_id[: table.n + 1]
     for label in table.labels():
@@ -536,6 +586,7 @@ def full_refill(table, teacher, labels=None):
                 by_id.append((by_id[row][0] + (answer,), reg(label)))
             row = table._child[row, answer]
         table._rows[label] = row
+    table._index()
 
 
 def test_fills_ask_the_queries_of_a_full_refill(monkeypatch):
