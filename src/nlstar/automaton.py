@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from enum import Enum
+from functools import partial
 
 from . import regex as rx
-from .words import CLOSE, OPEN, Alphabet, IllegalWordError, is_legal, is_letter, letter_set, shared_alphabet
+from .words import CLOSE, OPEN, IllegalWordError, is_legal, is_letter, letter_set, shared_alphabet
 
 
 class _EpsLabel:
@@ -83,6 +84,45 @@ def reachable_from(starts, successors):
     return seen
 
 
+class _built_on_first_read:
+    """``functools.cached_property``, but it stores the value with ``setattr``:
+    writing to ``__dict__``, as that does, turns the instance's inline
+    attribute values into a dict, and each later attribute read (each
+    ``step``'s) costs about 25 ns more."""
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.build(instance)
+        setattr(instance, self.name, value)
+        return value
+
+
+def _closed(eps, state):
+    """The eps closure of ``state`` under ``eps``, ``{src: [dst, ...]}``, as a frozenset."""
+    return frozenset(reachable_from([state], lambda q: eps.get(q, ())))
+
+
+def _successor_sets(first, eps, more):
+    """``{(src, label): the eps-closed set of the key's targets}``, from the
+    first targets, the eps edges and the further targets; a key with one
+    target shares that state's closure."""
+    closures = {}
+
+    def closure(state):
+        if state not in closures:
+            closures[state] = _closed(eps, state)
+        return closures[state]
+
+    succ = {(src, label): closure(dst) for src, row in first.items() for label, dst in row.items()}
+    for key, dsts in more.items():
+        succ[key] = succ[key].union(*map(closure, dsts))
+    return succ
+
+
 def _collection(value, field, items):
     """``value`` unless it is a string (its characters) or not iterable."""
     if isinstance(value, str) or not hasattr(value, "__iter__"):
@@ -103,16 +143,19 @@ class NominalAutomaton:
 
     ``layers`` maps state ids (strings) to their layer; ``transitions``
     is a sequence of (src, label, dst) triples with labels drawn from
-    sigma, ints, OPEN, CLOSE or EPS.  ``alphabet`` is the token alphabet
-    of sigma and n.  ``deterministic`` means no eps edge and one target
-    per (state, label); such a machine exposes its edges as ``delta``,
-    ``{state: {label: dst}}`` with a row for every state, which callers
-    must not mutate.  Otherwise ``delta`` is None.
+    sigma, ints, OPEN, CLOSE or EPS.  ``alphabet`` is the shared token
+    alphabet of sigma and n.  ``deterministic`` means no eps edge and one
+    target per (state, label); such a machine exposes its edges as
+    ``delta``, ``{state: {label: dst}}`` with a row for every state, which
+    callers must not mutate, and ``accepts`` and ``equivalence`` walk it.
+    Otherwise ``delta`` is None.  The eps-closed sets that ``start`` and
+    ``step`` give are built on first use, so a machine that is only
+    walked through ``delta`` never builds them.
     """
 
     def __init__(self, sigma, n, layers, initial, finals, transitions):
         try:
-            self.alphabet = shared_alphabet(Alphabet(sigma, n))
+            self.alphabet = shared_alphabet(sigma, n)
         except ValueError as exc:
             raise InvalidAutomatonError(str(exc)) from exc
         self.sigma, self.n = self.alphabet.sigma, self.alphabet.n
@@ -125,26 +168,31 @@ class NominalAutomaton:
         self.layers = layers = dict(layers)
         self.initial = initial
         self.finals = frozenset(finals)
-        transitions = _collection(transitions, "transitions", "(src, label, dst) triples")
-        self.transitions = tuple(map(_triple, transitions))
+        transitions = tuple(_collection(transitions, "transitions", "(src, label, dst) triples"))
+        if set(map(type, transitions)) <= {tuple} and set(map(len, transitions)) <= {3}:
+            self.transitions = transitions
+        else:
+            self.transitions = tuple(map(_triple, transitions))
         self._validate()
         # One pass checks each edge against the move table and indexes it:
         # delta[src][label] holds the first target, more[(src, label)] the rest.
-        moves, eps, more, closures, delta = self.alphabet.moves, {}, {}, {}, {q: {} for q in layers}
+        moves, sigma, eps, more, delta = self.alphabet.moves, self.sigma, {}, {}, {q: {} for q in layers}
         for src, label, dst in self.transitions:
             if not isinstance(src, str) or not isinstance(dst, str):  # before hashing them
                 raise InvalidAutomatonError(f"state ids must be strings, got transition {(src, label, dst)}")
-            if src not in layers or dst not in layers:
+            lsrc, ldst = layers.get(src), layers.get(dst)  # ints, as _validate checked
+            if lsrc is None or ldst is None:
                 raise InvalidAutomatonError(f"transition references unknown state: {(src, label, dst)}")
             if label is EPS:
-                ok = layers[dst] == layers[src]
+                ok = ldst == lsrc
                 eps.setdefault(src, []).append(dst)
-            elif type(label) is int or label in (OPEN, CLOSE) or isinstance(label, str) and label in self.sigma:
-                ok = moves[layers[src]].get(label) == layers[dst]
-                if label in delta[src]:
+            elif isinstance(label, str) and label in sigma or type(label) is int or label in (OPEN, CLOSE):
+                ok = moves[lsrc].get(label) == ldst
+                row = delta[src]
+                if label in row:
                     more.setdefault((src, label), []).append(dst)
                 else:
-                    delta[src][label] = dst
+                    row[label] = dst
             else:
                 raise InvalidAutomatonError(f"unknown label {label!r}")
             if not ok:
@@ -153,18 +201,12 @@ class NominalAutomaton:
         # A duplicated edge counts as two targets, so it is nondeterministic.
         self.deterministic = not eps and not more
         self.delta = delta if self.deterministic else None
+        self._edges, self._succ = (delta, eps, more), None  # the first step builds _succ
 
-        def closure(state):
-            if state not in closures:
-                closures[state] = frozenset(reachable_from([state], lambda q: eps.get(q, ())))
-            return closures[state]
-
-        # The eps-closed start set, and _succ[(src, label)]: the closed set of
-        # the key's targets (a key with one target shares that state's closure).
-        self.start = closure(initial)
-        self._succ = {(src, label): closure(dst) for src, row in delta.items() for label, dst in row.items()}
-        for key, dsts in more.items():
-            self._succ[key] = self._succ[key].union(*map(closure, dsts))
+    @_built_on_first_read
+    def start(self):
+        """The eps-closed start set."""
+        return _closed(self._edges[1], self.initial)
 
     def _validate(self):
         for state, layer in self.layers.items():
@@ -186,12 +228,15 @@ class NominalAutomaton:
 
     def step(self, states, label):
         """The eps-closed set of states one ``label`` move leads to from ``states``."""
+        succ = self._succ
+        if succ is None:  # a plain attribute: a descriptor would slow each read
+            succ = self._succ = _successor_sets(*self._edges)
         if len(states) == 1:
             [q] = states
-            return self._succ.get((q, label), _NOWHERE)
+            return succ.get((q, label), _NOWHERE)
         out = set()
         for q in states:
-            out |= self._succ.get((q, label), _NOWHERE)
+            out |= succ.get((q, label), _NOWHERE)
         return frozenset(out)
 
     def __repr__(self):
@@ -274,10 +319,18 @@ def compile(cne, sigma=None) -> NominalAutomaton:
 # acceptance
 
 def accepts(m: NominalAutomaton, word) -> bool:
-    """Breadth-first closure over configurations; the word must be legal
-    for the machine's alphabet."""
+    """Whether ``m`` accepts ``word``, which must be legal for the machine's
+    alphabet: a deterministic machine walks ``delta``, any other moves its
+    eps-closed state set with ``step``."""
     if not is_legal(word, m.alphabet):
         raise IllegalWordError(f"word is not legal for this automaton: {word!r}")
+    if m.deterministic:
+        state, delta = m.initial, m.delta
+        for tok in word:
+            state = delta[state].get(tok)
+            if state is None:
+                return False
+        return state in m.finals
     current = m.start
     for tok in word:
         current = m.step(current, tok)
@@ -343,7 +396,7 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     level (of those with the extreme depth, for the fresh strategies).
 
     The fresh strategies also key nodes by depth, and prune them in two
-    steps; a word's completions depend only on its pair (state sets and
+    steps; a word's completions depend only on its pair (positions and
     layer).  A successor whose pair was first reached at a shorter
     length is dropped: that shorter word has a shorter witness.  At the
     same length, one whose depth is no more extreme than that kept for
@@ -357,23 +410,24 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
         raise AlphabetMismatchError(
             f"letter alphabets differ: {sorted(m1.sigma)} vs {sorted(m2.sigma)}"
         )
-    alphabet = max(m1, m2, key=lambda m: m.n).alphabet
+    moves = max(m1, m2, key=lambda m: m.n).alphabet.moves
     fresh = strategy is not Strategy.SHORTEST
     if fresh and equivalence(m1, m2) is None:
         return None
     sign = 1 if strategy is Strategy.MAX_FRESH else -1  # sign * depth grows with extremity
 
-    # Nodes are (states1, states2, layer, peak): the state sets each
-    # machine reaches, whose empty sets are told apart by the layer, and,
-    # for the fresh strategies only, the binder depth of the node's words
-    # (0 otherwise, so a layer holds one node per pair of state sets).
-    start = (m1.start, m2.start, 0, 0)
+    # Nodes are (position1, position2, layer, peak): where each machine is
+    # (see _positions), told apart by the layer where neither has a state,
+    # and, for the fresh strategies only, the binder depth of the node's
+    # words (0 otherwise, so a layer holds one node per pair of positions).
+    (start1, row1_of, final1), (start2, row2_of, final2) = _positions(m1), _positions(m2)
+    start = (start1, start2, 0, 0)
     parent = {start: None}
     kept = {start[:3]: (0, 0)}  # fresh only: pair -> the greatest (-level, sign * depth) kept for it
     frontier = [start]
     level = 0
     while frontier:
-        hits = [node for node in frontier if bool(node[0] & m1.finals) != bool(node[1] & m2.finals)]
+        hits = [node for node in frontier if final1(node[0]) != final2(node[1])]
         if hits:
             word = []
             node = max(hits, key=lambda node: sign * node[3])  # the first of the extreme depth
@@ -384,10 +438,11 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
         level += 1
         next_frontier = []
         for node in frontier:
-            states1, states2, layer, peak = node
-            for label, nlayer in alphabet.moves[layer].items():
+            pos1, pos2, layer, peak = node
+            row1, row2 = row1_of(pos1), row2_of(pos2)
+            for label, nlayer in moves[layer].items():
                 peak_after = max(peak, nlayer) if fresh else 0
-                succ = (m1.step(states1, label), m2.step(states2, label), nlayer, peak_after)
+                succ = (row1(label), row2(label), nlayer, peak_after)
                 if succ not in parent:
                     if fresh:
                         rank = (-level, sign * peak_after)
@@ -398,6 +453,24 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
                     next_frontier.append(succ)
         frontier = next_frontier
     return None
+
+
+_NO_ROW = {}  # the row of a deterministic machine that has left its edges; never written
+
+
+def _positions(m: NominalAutomaton):
+    """How ``equivalence`` reads ``m``: (start, row(position), accepting(position)),
+    ``row(position)(label)`` being the position one ``label`` move leads to.
+    A deterministic machine's position is its state, or None once it has no
+    edge; any other machine's is its eps-closed state set, moved by ``step``.
+    For a deterministic machine q <-> {q}, None <-> {} maps one reading onto
+    the other node for node, so the witness does not depend on the reading."""
+    if m.deterministic:
+        delta = m.delta
+        return m.initial, lambda q: delta.get(q, _NO_ROW).get, m.finals.__contains__
+    finals = m.finals
+    step = m.step
+    return m.start, lambda states: partial(step, states), lambda states: not finals.isdisjoint(states)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from . import automaton as am
 from .teacher import Answer, Teacher
-from .words import Alphabet, IllegalWordError, check_count, depth, letter_set, prefixes
+from .words import IllegalWordError, check_count, depth, letter_set, prefixes
 from .words import serialize_word, shared_alphabet, summarize
 
 
@@ -100,7 +100,7 @@ class ObservationTable:
     def _set_depth(self, n):
         """Adopt register bound ``n``; the next fill rebuilds every row."""
         self.n = n
-        self.alphabet = shared_alphabet(Alphabet(self.sigma, n))
+        self.alphabet = shared_alphabet(self.sigma, n)
         self._tokens = self.alphabet.tokens()
         # _by_id[id]: (cell values, register count); id c <= n is the empty
         # row of count c, and _child[id, answer] the id one cell longer.
@@ -128,6 +128,7 @@ class ObservationTable:
         register bound grows.  A full fill rebuilds the index of S."""
         legal, rows, e_words, width = self._legal, self._rows, self.e_words, len(self.e_words)
         by_id, child, moves, answers = self._by_id, self._child, self.alphabet.moves, self._answers
+        member, bottom = teacher.membership, Answer.BOTTOM
         for suffix in e_words[len(legal[0]):]:
             tail = self._summary(suffix)
             for count, fits in enumerate(legal):
@@ -142,15 +143,17 @@ class ObservationTable:
             if row is None:
                 continue
             values, count = by_id[row]
+            if len(values) == width:
+                continue
             fits = legal[count]
             for j in range(len(values), width):
                 if fits[j]:
                     word = label + e_words[j]
                     answer = answers.get(word)
                     if answer is None:
-                        answer = answers[word] = teacher.membership(word)
+                        answer = answers[word] = member(word)
                 else:
-                    answer = Answer.BOTTOM
+                    answer = bottom
                 longer = child.get((row, answer))
                 if longer is None:
                     longer = child[row, answer] = len(by_id)
@@ -161,15 +164,17 @@ class ObservationTable:
             self._index()
 
     def _index(self):
-        """Number S's row ids in first-occurrence order, pair each later S word
-        with the first of its row, rewind the closedness cursor.  Every S word has
-        a row: epsilon, witnesses (``extend_close`` checks) and a legal counterexample's prefixes."""
+        """Number S's row ids in first-occurrence order, keep the first S word of
+        each, pair each later S word with the first of its row, rewind the
+        closedness cursor.  Every S word has a row: epsilon, witnesses
+        (``extend_close`` checks) and a legal counterexample's prefixes."""
         first, self._pairs, self._cursor = {}, [], 0
         for s in self.s_words:
             head = first.setdefault(self._rows[s], s)  # s itself if first of its row
             if head is not s:
                 self._pairs.append((head, s))
         self._states = {row: f"q{number}" for number, row in enumerate(first)}
+        self._heads = list(first.values())
 
     def row(self, label):
         """(cell values over E, register count), or None for illegal labels."""
@@ -220,6 +225,7 @@ class ObservationTable:
             raise ValueError(f"{witness!r} has no row, or is already a row label in S or has the row of one")
         self.s_words.append(witness)
         self._states[row] = f"q{len(self._states)}"
+        self._heads.append(witness)
         self._ext += [witness + (tok,) for tok in self._tokens]
         self.fill(teacher, self._ext[-len(self._tokens):])
 
@@ -257,16 +263,19 @@ class ObservationTable:
     def to_automaton(self) -> am.NominalAutomaton:
         """Hypothesis machine of a closed and consistent table.
 
-        The transition loop visits every extension row, so it checks both:
-        each must match an S row, and equal S rows must agree on it."""
-        ids, by_id = self.state_map(), self._by_id
+        Right after the repair loop both checks are O(1), and each state's
+        edges are read off the first S word of its row.  Otherwise the loop
+        visits every S word's extensions and names the first, in S x A
+        order, that matches no S row or that equal S rows disagree on."""
+        ids, by_id, rows, tokens = self._states, self._by_id, self._rows, self._tokens
+        ready = self.check_closed() is None and self.check_consistent() is None
         layers = {state: by_id[row][1] for row, state in ids.items()}
         finals = [state for row, state in ids.items() if by_id[row][0][0] is Answer.ONE and layers[state] == 0]
         delta = {}
-        for s in self.s_words:
-            src = ids[self._rows[s]]
-            for tok in self._tokens:
-                succ = self._rows[s + (tok,)]
+        for s in self._heads if ready else self.s_words:
+            src = ids[rows[s]]
+            for tok in tokens:
+                succ = rows[s + (tok,)]
                 if succ is None:
                     continue
                 dst = ids.get(succ)
@@ -275,8 +284,7 @@ class ObservationTable:
                     raise NotClosedOrConsistentError(
                         f"table is not {broken} at {serialize_word(s + (tok,))!r}")
         transitions = [(src, tok, dst) for (src, tok), dst in delta.items()]
-        initial = ids[self._rows[()]]
-        return am.NominalAutomaton(self.sigma, self.n, layers, initial, finals, transitions)
+        return am.NominalAutomaton(self.sigma, self.n, layers, ids[rows[()]], finals, transitions)
 
 
 def init_table(teacher: Teacher) -> ObservationTable:
@@ -333,25 +341,19 @@ def run_nlstar(teacher: Teacher, config: "LearnConfig | None" = None):
             if witness is None and column is None:
                 break
         hypothesis = table.to_automaton()
-        if snapshots and am.state_count(hypothesis) <= snapshots[-1].hypothesis_states:
+        states = am.state_count(hypothesis)
+        if snapshots and states <= snapshots[-1].hypothesis_states:
             raise CounterexampleError(f"no growth after counterexample {snapshots[-1].answer!r}")
         if config.on_hypothesis is not None:
             config.on_hypothesis(table, hypothesis)
         counterexample = teacher.equivalence(hypothesis)
-        snapshot = RoundSnapshot(
-            round=round_index,
-            s_size=len(table.s_words),
-            e_size=len(table.e_words),
-            n=table.n,
-            hypothesis_states=am.state_count(hypothesis),
-            answer="yes",
-        )
+        sizes = len(table.s_words), len(table.e_words), table.n  # before the counterexample joins
         if counterexample is None:
-            snapshots.append(snapshot)
+            snapshots.append(RoundSnapshot(round_index, *sizes, states, "yes"))
             return hypothesis, stats()
         # Checks first that the counterexample is a legal word.
         table.handle_counterexample(counterexample, teacher)
-        snapshots.append(snapshot._replace(answer=serialize_word(counterexample)))
+        snapshots.append(RoundSnapshot(round_index, *sizes, states, serialize_word(counterexample)))
         longest = max(longest, len(counterexample))
         # The cell (counterexample, eps) is filled by now, so this asks no query.
         claimed = depth(counterexample) <= hypothesis.n and am.accepts(hypothesis, counterexample)

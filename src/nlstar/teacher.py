@@ -35,6 +35,7 @@ class Teacher:
         if not target.deterministic:
             raise am.NondeterministicInputError("teacher needs a deterministic target")
         self.target = target
+        self._initial, self._delta = target.initial, target.delta
         self.membership_queries = 0
         self.equivalence_queries = 0
         self.log = []
@@ -42,7 +43,14 @@ class Teacher:
         for src, _, dst in target.transitions:
             incoming.setdefault(dst, []).append(src)
         # States from which a final state can be reached.
-        self._live = am.reachable_from(target.finals, lambda q: incoming.get(q, ()))
+        live = am.reachable_from(target.finals, lambda q: incoming.get(q, ()))
+        # The answer of a word by the state its walk ends in, None where the
+        # walk leaves the edges; read once per query, as an Enum member read
+        # through its class costs a metaclass lookup.
+        self._answer_at = {
+            q: Answer.ONE if q in target.finals else Answer.P if q in live else Answer.ZERO for q in target.layers
+        }
+        self._answer_at[None] = Answer.ZERO
 
     @classmethod
     def from_regex(cls, text: str, sigma, strategy=am.Strategy.SHORTEST) -> "Teacher":
@@ -65,7 +73,7 @@ class Teacher:
         if isinstance(word, str):
             raise IllegalWordError(f"membership query for a string, not a word: {word!r}")
         # A token costs one lookup: its state's row of target.delta.
-        state, delta = self.target.initial, self.target.delta
+        state, delta = self._initial, self._delta
         for tok in word:
             # Only str and non-bool int tokens walk: True == 1 and 1.0 == 1
             # would find register 1's edge.
@@ -79,12 +87,7 @@ class Teacher:
                 break
         if state is None and not is_legal(word, self.target.alphabet):
             raise IllegalWordError(f"membership query for illegal word {serialize_word(word)!r}")
-        if state in self.target.finals:
-            answer = Answer.ONE
-        elif state is not None and state in self._live:
-            answer = Answer.P
-        else:
-            answer = Answer.ZERO
+        answer = self._answer_at[state]
         self.membership_queries += 1
         self.log.append(("member", word, answer))
         return answer

@@ -23,7 +23,7 @@ the bare and the decorated spelling.
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -123,9 +123,20 @@ class Alphabet:
         )
 
 
-# ``shared_alphabet(a)`` is the first Alphabet equal to ``a``: callers with
-# equal letters and bound share one Alphabet and its move table.
-shared_alphabet = lru_cache(lambda alphabet: alphabet)
+_SHARED = {}  # (sigma, n) -> the first Alphabet built for them; never evicted
+
+
+def shared_alphabet(sigma, n) -> Alphabet:
+    """The one shared ``Alphabet(sigma, n)``: callers with equal letters and
+    bound get the same object and its move table.  Letters are validated
+    only when the pair is new; a ``sigma`` that is not a frozenset, or a
+    bound that is not an int, takes the validating path every time."""
+    if type(sigma) is frozenset and type(n) is int:
+        alphabet = _SHARED.get((sigma, n))
+        if alphabet is not None:
+            return alphabet
+    alphabet = Alphabet(sigma, n)
+    return _SHARED.setdefault((alphabet.sigma, alphabet.n), alphabet)
 
 
 class Summary(NamedTuple):

@@ -156,7 +156,7 @@ def reference_construct(sigma, n, layers, initial, finals, transitions):
     then a second loop indexed them."""
     m = object.__new__(NominalAutomaton)
     try:
-        m.alphabet = shared_alphabet(Alphabet(sigma, n))
+        m.alphabet = shared_alphabet(sigma, n)
     except ValueError as exc:
         raise InvalidAutomatonError(str(exc)) from exc
     m.sigma, m.n = m.alphabet.sigma, m.alphabet.n
@@ -604,6 +604,82 @@ def test_pruned_witnesses_match_the_unpruned_reference_after_tied_prefixes():
             )
             for strategy in Strategy:
                 assert am.equivalence(m1, m2, strategy) == reference_equivalence(m1, m2, strategy)
+
+
+def _partial(machine, rng):
+    """``machine`` with about a third of its edges dropped: deterministic,
+    but no longer total, so walks leave the edge map."""
+    kept = [t for t in machine.transitions if rng.random() < 0.67]
+    return NominalAutomaton(machine.sigma, machine.n, machine.layers, machine.initial, machine.finals, kept)
+
+
+def _deterministic_and_mixed_pairs(deterministic, compiled):
+    """Neighbouring machines of two parallel lists: deterministic pairs and
+    mixed pairs, each way round."""
+    for i in range(len(deterministic) - 1):
+        yield deterministic[i], deterministic[i + 1]
+        yield deterministic[i], compiled[i + 1]
+        yield compiled[i], deterministic[i + 1]
+
+
+def test_edge_map_witnesses_match_the_set_reference_on_theta4_targets():
+    # Determinized theta <= 4 targets against each other and against the
+    # compiled (eps, set-walked) machine of the next target, plus partial
+    # deterministic machines; the reference walks every machine as sets.
+    rng = random.Random(ACCEPTANCE_SEED)
+    compiled = [am.compile(cne, ("a", "b", "c")) for cne in islice(draws(ACCEPTANCE_SEED, 4, ("a", "b", "c"), (10, 25)), 40)]
+    deterministic = [am.determinize(m) for m in compiled]
+    partial = [_partial(m, rng) for m in deterministic]
+    assert all(m.deterministic for m in deterministic + partial)
+    pairs = [*_deterministic_and_mixed_pairs(deterministic, compiled), *_deterministic_and_mixed_pairs(partial, compiled)]
+    pairs += [*zip(compiled, deterministic), *zip(partial, deterministic), *zip(compiled, partial)]
+    for m1, m2 in pairs:
+        for strategy in Strategy:
+            assert am.equivalence(m1, m2, strategy) == reference_equivalence(m1, m2, strategy)
+
+
+def learn_small_targets():
+    """The learn-small bench pool: the first 200 acceptance-stream draws
+    whose determinized machine has 2 states or more."""
+    machines = ((am.compile(cne, AB), am.determinize(am.compile(cne, AB))) for cne in draws(ACCEPTANCE_SEED))
+    return list(islice(((c, d) for c, d in machines if am.state_count(d) >= 2), 200))
+
+
+def test_edge_map_witnesses_match_the_set_reference_on_learned_hypotheses():
+    # Every hypothesis a learn-small run logs, against its deterministic
+    # target and against the compiled target.
+    from nlstar.learner import run_nlstar
+    from nlstar.teacher import Teacher
+
+    for compiled, target in learn_small_targets():
+        teacher = Teacher(target)
+        run_nlstar(teacher)
+        for kind, hypothesis, _ in teacher.log:
+            if kind != "equiv":
+                continue
+            for machine in (target, compiled):
+                for strategy in Strategy:
+                    want = reference_equivalence(machine, hypothesis, strategy)
+                    assert am.equivalence(machine, hypothesis, strategy) == want
+                    assert am.equivalence(hypothesis, machine, strategy) == reference_equivalence(
+                        hypothesis, machine, strategy)
+
+
+def _set_accepts(machine, word):
+    states = machine.start
+    for tok in word:
+        states = machine.step(states, tok)
+    return not machine.finals.isdisjoint(states)
+
+
+def test_accepts_on_the_edge_map_matches_the_set_walk():
+    rng = random.Random(ACCEPTANCE_SEED)
+    machines = [d for _, d in learn_small_targets()[:40]]
+    machines += [_partial(m, rng) for m in machines]
+    for machine in machines:
+        assert machine.deterministic
+        for word in enumerate_legal(machine.sigma, EnumBound(6, machine.n)):
+            assert am.accepts(machine, word) == _set_accepts(machine, word), (machine, word)
 
 
 def _layer_chain(n, top):

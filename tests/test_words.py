@@ -23,6 +23,7 @@ from nlstar.words import (
     prefixes,
     reg,
     serialize_word,
+    shared_alphabet,
     summarize,
 )
 
@@ -184,6 +185,23 @@ def test_alphabet_is_an_immutable_value():
     assert alphabet.moves is alphabet.moves
     with pytest.raises(TypeError):
         alphabet.moves[0]["a"] = 0
+
+
+def test_shared_alphabets_are_never_evicted():
+    first = shared_alphabet(frozenset({"a", "b"}), 1)
+    moves = first.moves
+    for i in range(200):
+        shared_alphabet(frozenset({f"x{i}"}), 0)
+    # Equal letters in any collection, after 200 other pairs: the same
+    # object and the same move table.
+    assert shared_alphabet(frozenset({"b", "a"}), 1) is first
+    assert shared_alphabet(["b", "a"], 1) is first and first.moves is moves
+    assert shared_alphabet(frozenset({"a", "b"}), 1) == Alphabet({"a", "b"}, 1)
+    # A bool bound is no int bound, and letters are still checked.
+    with pytest.raises(ValueError, match="bound n must be"):
+        shared_alphabet(frozenset({"a", "b"}), True)
+    with pytest.raises(ValueError, match="invalid letter"):
+        shared_alphabet(frozenset({"A"}), 0)
 
 
 def test_is_legal_close_without_open():
