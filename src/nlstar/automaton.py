@@ -88,7 +88,7 @@ class _built_on_first_read:
     """``functools.cached_property``, but it stores the value with ``setattr``:
     writing to ``__dict__``, as that does, turns the instance's inline
     attribute values into a dict, and each later attribute read (each
-    ``step``'s) costs about 25 ns more."""
+    ``step``'s) costs about 20 ns more on Python 3.11."""
 
     def __init__(self, build):
         self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
