@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from enum import Enum
-from functools import partial
 
 from . import regex as rx
 from .words import CLOSE, OPEN, IllegalWordError, is_legal, is_letter, letter_set, shared_alphabet
@@ -70,6 +69,7 @@ def check_strategy(strategy) -> Strategy:
 
 
 _NOWHERE = frozenset()
+_NO_ROW = {}  # the row of a position that has left its machine's edges; never written
 
 
 def reachable_from(starts, successors):
@@ -84,31 +84,14 @@ def reachable_from(starts, successors):
     return seen
 
 
-class _built_on_first_read:
-    """``functools.cached_property``, but it stores the value with ``setattr``:
-    writing to ``__dict__``, as that does, turns the instance's inline
-    attribute values into a dict, and each later attribute read (each
-    ``step``'s) costs about 20 ns more on Python 3.11."""
-
-    def __init__(self, build):
-        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.build(instance)
-        setattr(instance, self.name, value)
-        return value
-
-
 def _closed(eps, state):
     """The eps closure of ``state`` under ``eps``, ``{src: [dst, ...]}``, as a frozenset."""
     return frozenset(reachable_from([state], lambda q: eps.get(q, ())))
 
 
-def _successor_sets(first, eps, more):
-    """``{(src, label): the eps-closed set of the key's targets}``, from the
-    first targets, the eps edges and the further targets; a key with one
+def _successor_rows(first, eps, more):
+    """``{src: {label: the eps-closed set of the targets}}``, from the first
+    targets, the eps edges and the further targets; a label with one
     target shares that state's closure."""
     closures = {}
 
@@ -117,10 +100,10 @@ def _successor_sets(first, eps, more):
             closures[state] = _closed(eps, state)
         return closures[state]
 
-    succ = {(src, label): closure(dst) for src, row in first.items() for label, dst in row.items()}
-    for key, dsts in more.items():
-        succ[key] = succ[key].union(*map(closure, dsts))
-    return succ
+    rows = {src: {label: closure(dst) for label, dst in row.items()} for src, row in first.items()}
+    for (src, label), dsts in more.items():
+        rows[src][label] = rows[src][label].union(*map(closure, dsts))
+    return rows
 
 
 def _collection(value, field, items):
@@ -148,8 +131,10 @@ class NominalAutomaton:
     target per (state, label); such a machine exposes its edges as
     ``delta``, ``{state: {label: dst}}`` with a row for every state, which
     callers must not mutate, and ``accepts`` and ``equivalence`` walk it.
-    Otherwise ``delta`` is None.  The eps-closed sets that ``start`` and
-    ``step`` give are built on first use, so a machine that is only
+    Otherwise ``delta`` is None.  ``start`` is the eps-closed start set.
+    ``row(states)`` maps each label to the eps-closed set it leads to from
+    ``states``, and ``step`` reads one label of it.  The per-state rows
+    behind ``row`` are built on the first read, so a machine that is only
     walked through ``delta`` never builds them.
     """
 
@@ -201,12 +186,8 @@ class NominalAutomaton:
         # A duplicated edge counts as two targets, so it is nondeterministic.
         self.deterministic = not eps and not more
         self.delta = delta if self.deterministic else None
-        self._edges, self._succ = (delta, eps, more), None  # the first step builds _succ
-
-    @_built_on_first_read
-    def start(self):
-        """The eps-closed start set."""
-        return _closed(self._edges[1], self.initial)
+        self.start = _closed(eps, initial) if eps else frozenset((initial,))
+        self._edges, self._rows = (delta, eps, more), None  # the first row read builds _rows
 
     def _validate(self):
         for state, layer in self.layers.items():
@@ -226,18 +207,26 @@ class NominalAutomaton:
     def states(self):
         return tuple(self.layers)
 
-    def step(self, states, label):
-        """The eps-closed set of states one ``label`` move leads to from ``states``."""
-        succ = self._succ
-        if succ is None:  # a plain attribute: a descriptor would slow each read
-            succ = self._succ = _successor_sets(*self._edges)
+    def row(self, states):
+        """``{label: the eps-closed set one label move leads to from states}``,
+        with no key for a label that leads nowhere; read it by label, and do
+        not mutate it.  A single state's row is shared, a larger set's is the
+        label-wise union of its states' rows."""
+        rows = self._rows
+        if rows is None:  # a plain attribute: a descriptor would slow each read
+            rows = self._rows = _successor_rows(*self._edges)
         if len(states) == 1:
             [q] = states
-            return succ.get((q, label), _NOWHERE)
-        out = set()
+            return rows.get(q, _NO_ROW)
+        parts = {}
         for q in states:
-            out |= succ.get((q, label), _NOWHERE)
-        return frozenset(out)
+            for label, dsts in rows.get(q, _NO_ROW).items():
+                parts.setdefault(label, []).append(dsts)
+        return {label: dsts[0] if len(dsts) == 1 else frozenset().union(*dsts) for label, dsts in parts.items()}
+
+    def step(self, states, label):
+        """The eps-closed set of states one ``label`` move leads to from ``states``."""
+        return self.row(states).get(label, _NOWHERE)
 
     def __repr__(self):
         return (
@@ -362,8 +351,9 @@ def determinize(m: NominalAutomaton) -> NominalAutomaton:
     transitions = []
     for key in order:  # grows while it is walked: breadth-first
         subset, layer = key
+        row = m.row(subset)
         for label, nlayer in m.alphabet.moves[layer].items():
-            dst = (m.step(subset, label), nlayer)
+            dst = (row.get(label, _NOWHERE), nlayer)
             if dst not in ids:
                 ids[dst] = f"q{len(ids)}"
                 order.append(dst)
@@ -455,22 +445,23 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
     return None
 
 
-_NO_ROW = {}  # the row of a deterministic machine that has left its edges; never written
-
-
 def _positions(m: NominalAutomaton):
     """How ``equivalence`` reads ``m``: (start, row(position), accepting(position)),
     ``row(position)(label)`` being the position one ``label`` move leads to.
-    A deterministic machine's position is its state, or None once it has no
-    edge; any other machine's is its eps-closed state set, moved by ``step``.
-    For a deterministic machine q <-> {q}, None <-> {} maps one reading onto
-    the other node for node, so the witness does not depend on the reading."""
+    A deterministic machine's position is its state and its row is read
+    from ``delta``; any other machine's is its eps-closed state set and its
+    row is ``row``'s.  Either is None once it has no edge.  For a
+    deterministic machine, q <-> {q} maps one reading onto the other node
+    for node, so the witness does not depend on the reading."""
     if m.deterministic:
         delta = m.delta
         return m.initial, lambda q: delta.get(q, _NO_ROW).get, m.finals.__contains__
-    finals = m.finals
-    step = m.step
-    return m.start, lambda states: partial(step, states), lambda states: not finals.isdisjoint(states)
+    finals, row = m.finals, m.row
+    return (
+        m.start,
+        lambda states: (_NO_ROW if states is None else row(states)).get,
+        lambda states: states is not None and not finals.isdisjoint(states),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Membership here is decided by the bounded denotation of the expression
 (pure recursion on syntax), so these checks can falsify the compiler,
 the teacher and the learner.  A machine is read only through its own
-``start``, ``step``, ``finals`` and raw ``transitions``.  Words are
+``start``, ``row``, ``finals`` and raw ``transitions``.  Words are
 walked one length at a time, depth-first along ``words.Alphabet.moves``,
 on an explicit stack whose entries carry a prefix's open count and
-machine state set: a word costs one ``step`` from its prefix's set (shorter
+machine state set: a prefix that is extended costs one ``row`` of its
+set, which gives the sets of all its one-token extensions (shorter
 words are walked again in each longer pass), and memory is O(max_len)
 prefixes.  ``brute_equivalence`` extends no prefix that can no longer
 show a mismatch.  Desk scale only: lengths up to a dozen.
@@ -39,10 +40,15 @@ def _check_bound(bound):
         raise ValueError(f"bound must be an EnumBound, got {bound!r}")
 
 
-def _walk(sigma, bound: EnumBound, start, step, keep=None):
+_NOWHERE = frozenset()
+
+
+def _walk(sigma, bound: EnumBound, start, row, keep=None):
     """Each legal word within ``bound`` in ``enumerate_legal`` order, paired
-    with ``start`` moved by ``step(value, token)``; no shorter word for which
-    ``keep(word, value)`` is false is extended."""
+    with ``start`` moved token by token: a word's value is the one its
+    prefix's ``row(value)`` maps its last token to, or the empty set if it
+    maps it to none.  No shorter word for which ``keep(word, value)`` is
+    false is extended."""
     # Last move first, so the stack pops them in token order.
     moves = [[*legal.items()][::-1] for legal in shared_alphabet(sigma, bound.max_depth).moves]
     for length in range(bound.max_len + 1):
@@ -52,7 +58,8 @@ def _walk(sigma, bound: EnumBound, start, step, keep=None):
             if len(word) == length:
                 yield word, value
             elif keep is None or keep(word, value):
-                stack.extend((word + (tok,), after, step(value, tok)) for tok, after in moves[count])
+                successors = row(value)
+                stack.extend((word + (tok,), after, successors.get(tok, _NOWHERE)) for tok, after in moves[count])
 
 
 def enumerate_legal(sigma, bound: EnumBound):
@@ -60,7 +67,7 @@ def enumerate_legal(sigma, bound: EnumBound):
     shortest first and lexicographic in the fixed token order within a
     length.  Every prefix of an emitted word is emitted too."""
     _check_bound(bound)
-    return [word for word, _ in _walk(sigma, bound, None, lambda value, tok: None)]
+    return [word for word, _ in _walk(sigma, bound, None, lambda value: {})]
 
 
 def brute_membership(cne, word) -> bool:
@@ -75,9 +82,10 @@ def brute_equivalence(m: am.NominalAutomaton, cne, bound: EnumBound):
     """First word of ``enumerate_legal`` order where machine and denotation
     disagree, or None.
 
-    The walk starts from ``m.start``, carries each prefix's eps-closed
-    state set and moves it with one ``m.step`` per word; a word is
-    accepted when its set meets ``m.finals``.  Words outside the
+    The walk starts from ``m.start`` and carries each prefix's eps-closed
+    state set; it reads one ``m.row`` per extended prefix, and each of
+    the prefix's one-token extensions takes its set from that row.  A
+    word is accepted when its set meets ``m.finals``.  Words outside the
     machine's alphabet (deeper nesting, foreign letters) have no edges,
     so they reach the empty set and count as rejected.
 
@@ -98,7 +106,7 @@ def brute_equivalence(m: am.NominalAutomaton, cne, bound: EnumBound):
         live |= fresh
         todo.extend(fresh)
     keep = lambda word, states: word in heads or not live.isdisjoint(states)
-    for word, states in _walk(m.sigma | rx.letters_of(cne), bound, m.start, m.step, keep):
+    for word, states in _walk(m.sigma | rx.letters_of(cne), bound, m.start, m.row, keep):
         if bool(states & m.finals) != (word in denoted):
             return word
     return None

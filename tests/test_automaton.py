@@ -216,10 +216,9 @@ def reference_construct(sigma, n, layers, initial, finals, transitions):
         return closures[state]
 
     m.start = closure(initial)
-    m._succ = {
-        key: closure(dsts[0]) if len(dsts) == 1 else frozenset().union(*map(closure, dsts))
-        for key, dsts in targets.items()
-    }
+    m._rows = {q: {} for q in m.layers}
+    for (src, label), dsts in targets.items():
+        m._rows[src][label] = closure(dsts[0]) if len(dsts) == 1 else frozenset().union(*map(closure, dsts))
     return m
 
 
@@ -705,6 +704,21 @@ def test_fresh_witness_is_quick_at_a_large_register_bound(strategy):
     witness = am.equivalence(m1, m2, strategy)
     assert witness == (OPEN,) * 200 + (CLOSE,) * 200
     assert time.monotonic() - started < 1.0
+
+
+def test_wide_alphabet_subsets_are_quick():
+    # The third letter from the end over 80 letters: 321 subsets, each of
+    # up to 723 of the 964 compiled states.  Each subset reads one row, the
+    # union of its states' rows; moving it one label at a time, each move
+    # scanning the subset again, took 1.9 s on a 2-core machine.
+    letters = {f"c{i}" for i in range(80)}
+    anything = "(" + " + ".join(sorted(letters)) + ")"
+    compiled = am.compile(canonicalize(parse_regex(f"{anything}* c0 {anything} {anything}", letters)), letters)
+    started = time.monotonic()
+    d = am.determinize(compiled)
+    assert am.equivalence(am.minimize(d), compiled) is None
+    assert time.monotonic() - started < 1.0
+    assert am.state_count(d) == 321
 
 
 # ---------------------------------------------------------------------------
