@@ -68,7 +68,6 @@ def check_strategy(strategy) -> Strategy:
     return strategy
 
 
-_NOWHERE = frozenset()
 _NO_ROW = {}  # the row of a position that has left its machine's edges; never written
 
 
@@ -130,12 +129,12 @@ class NominalAutomaton:
     alphabet of sigma and n.  ``deterministic`` means no eps edge and one
     target per (state, label); such a machine exposes its edges as
     ``delta``, ``{state: {label: dst}}`` with a row for every state, which
-    callers must not mutate, and ``accepts`` and ``equivalence`` walk it.
-    Otherwise ``delta`` is None.  ``start`` is the eps-closed start set.
-    ``row(states)`` maps each label to the eps-closed set it leads to from
-    ``states``, and ``step`` reads one label of it.  The per-state rows
-    behind ``row`` are built on the first read, so a machine that is only
-    walked through ``delta`` never builds them.
+    callers must not mutate, and ``accepts``, ``determinize`` and
+    ``equivalence`` walk it.  Otherwise ``delta`` is None.  ``start`` is
+    the eps-closed start set.  ``row(states)`` maps each label to the
+    eps-closed set it leads to from ``states``.  The per-state rows behind
+    ``row`` are built on the first read, so a machine that is only walked
+    through ``delta`` never builds them.
     """
 
     def __init__(self, sigma, n, layers, initial, finals, transitions):
@@ -182,7 +181,6 @@ class NominalAutomaton:
                 raise InvalidAutomatonError(f"unknown label {label!r}")
             if not ok:
                 raise InvalidAutomatonError(f"layer rule violated by {(src, label, dst)}")
-        self.has_eps = bool(eps)
         # A duplicated edge counts as two targets, so it is nondeterministic.
         self.deterministic = not eps and not more
         self.delta = delta if self.deterministic else None
@@ -223,10 +221,6 @@ class NominalAutomaton:
             for label, dsts in rows.get(q, _NO_ROW).items():
                 parts.setdefault(label, []).append(dsts)
         return {label: dsts[0] if len(dsts) == 1 else frozenset().union(*dsts) for label, dsts in parts.items()}
-
-    def step(self, states, label):
-        """The eps-closed set of states one ``label`` move leads to from ``states``."""
-        return self.row(states).get(label, _NOWHERE)
 
     def __repr__(self):
         return (
@@ -309,23 +303,16 @@ def compile(cne, sigma=None) -> NominalAutomaton:
 
 def accepts(m: NominalAutomaton, word) -> bool:
     """Whether ``m`` accepts ``word``, which must be legal for the machine's
-    alphabet: a deterministic machine walks ``delta``, any other moves its
-    eps-closed state set with ``step``."""
+    alphabet: the word moves the machine's position (see ``_positions``)
+    one token at a time, and is rejected once it has no edge."""
     if not is_legal(word, m.alphabet):
         raise IllegalWordError(f"word is not legal for this automaton: {word!r}")
-    if m.deterministic:
-        state, delta = m.initial, m.delta
-        for tok in word:
-            state = delta[state].get(tok)
-            if state is None:
-                return False
-        return state in m.finals
-    current = m.start
+    position, row_of, accepting = _positions(m)
     for tok in word:
-        current = m.step(current, tok)
-        if not current:
+        position = row_of(position)(tok)
+        if position is None:
             return False
-    return bool(current & m.finals)
+    return accepting(position)
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +331,27 @@ def determinize(m: NominalAutomaton) -> NominalAutomaton:
     its label from its source's layer.  States are numbered
     breadth-first in label order, so the result is the canonical form
     that ``isomorphic`` compares.
+
+    States are keyed by (position, layer), a position as ``_positions``
+    reads it: a deterministic machine's state stands for its singleton,
+    so its edges are read from ``delta``, and a layer's sink is its None
+    position, the empty subset.
     """
-    # Keys are (subset, layer); the empty subset of a layer is its sink.
-    order = [(m.start, 0)]
+    start, row_of, accepting = _positions(m)
+    order = [(start, 0)]
     ids = {order[0]: "q0"}
     transitions = []
     for key in order:  # grows while it is walked: breadth-first
-        subset, layer = key
-        row = m.row(subset)
+        position, layer = key
+        row = row_of(position)
         for label, nlayer in m.alphabet.moves[layer].items():
-            dst = (row.get(label, _NOWHERE), nlayer)
+            dst = (row(label), nlayer)
             if dst not in ids:
                 ids[dst] = f"q{len(ids)}"
                 order.append(dst)
             transitions.append((ids[key], label, ids[dst]))
     layers = {ids[key]: key[1] for key in order}
-    finals = [ids[key] for key in order if key[0] & m.finals]
+    finals = [ids[key] for key in order if accepting(key[0])]
     return NominalAutomaton(m.sigma, m.n, layers, "q0", finals, transitions)
 
 
@@ -446,13 +438,15 @@ def equivalence(m1: NominalAutomaton, m2: NominalAutomaton, strategy=Strategy.SH
 
 
 def _positions(m: NominalAutomaton):
-    """How ``equivalence`` reads ``m``: (start, row(position), accepting(position)),
-    ``row(position)(label)`` being the position one ``label`` move leads to.
-    A deterministic machine's position is its state and its row is read
-    from ``delta``; any other machine's is its eps-closed state set and its
-    row is ``row``'s.  Either is None once it has no edge.  For a
-    deterministic machine, q <-> {q} maps one reading onto the other node
-    for node, so the witness does not depend on the reading."""
+    """How ``accepts``, ``determinize`` and ``equivalence`` read ``m``:
+    (start, row(position), accepting(position)), ``row(position)(label)``
+    being the position one ``label`` move leads to.  A deterministic
+    machine's position is its state and its row is read from ``delta``;
+    any other machine's is its eps-closed state set and its row is
+    ``row``'s.  Either is None once it has no edge.  For a deterministic
+    machine, q <-> {q} and None <-> the empty set map one reading onto the
+    other node for node, so no answer, witness or numbering depends on
+    the reading."""
     if m.deterministic:
         delta = m.delta
         return m.initial, lambda q: delta.get(q, _NO_ROW).get, m.finals.__contains__

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -202,7 +203,6 @@ def reference_construct(sigma, n, layers, initial, finals, transitions):
             eps.setdefault(src, []).append(dst)
         else:
             targets.setdefault((src, label), []).append(dst)
-    m.has_eps = bool(eps)
     m.deterministic = not eps and all(len(v) == 1 for v in targets.values())
     m.delta = None
     if m.deterministic:
@@ -254,8 +254,8 @@ def construction(build, description):
         m = build(*description)
     except Exception as exc:
         return type(exc), str(exc)
-    steps = {(q, label): m.step(frozenset([q]), label) for q in m.layers for label in _LABELS}
-    return am.to_json(m), m.deterministic, m.has_eps, m.start, steps, m.delta
+    steps = {(q, label): m.row(frozenset([q])).get(label, frozenset()) for q in m.layers for label in _LABELS}
+    return am.to_json(m), m.deterministic, m.start, steps, m.delta
 
 
 @settings(max_examples=400, deadline=None)
@@ -330,7 +330,7 @@ def test_determinize_epsilon():
 
 def test_determinize_is_deterministic_and_silent_free():
     det = am.determinize(am.compile(E_HAT))
-    assert det.deterministic and not det.has_eps
+    assert det.deterministic and not any(label is EPS for _, label, _ in det.transitions)
 
 
 def test_determinize_totalises_on_legal_labels():
@@ -367,7 +367,7 @@ def test_step_matches_the_reference_closure():
     branching = machine(
         [("p", "a", "q"), ("p", "a", "r"), ("q", EPS, "s"), ("s", EPS, "t"), ("r", "a", "r")]
     )
-    assert branching.step(frozenset({"p"}), "a") == {"q", "r", "s", "t"}
+    assert branching.row(frozenset({"p"})).get("a", frozenset()) == {"q", "r", "s", "t"}
     rng = random.Random(7)
     machines = [branching]
     for _ in range(25):
@@ -375,7 +375,7 @@ def test_step_matches_the_reference_closure():
         determinized = am.determinize(compiled)
         assert determinized.deterministic
         machines += [compiled, determinized]
-    assert any(m.has_eps for m in machines)
+    assert any(label is EPS for m in machines for _, label, _ in m.transitions)
     for m in machines:
         # Every token, and labels with no edge: a foreign letter, a register past n.
         labels = list(Alphabet(m.sigma, m.n + 1).tokens()) + ["z"]
@@ -384,7 +384,7 @@ def test_step_matches_the_reference_closure():
         sets += [frozenset(rng.sample(states, k)) for k in (2, 3) if k <= len(states)]
         for subset in sets:
             for label in labels:
-                assert m.step(subset, label) == _reference_step(m, subset, label), (m, subset, label)
+                assert m.row(subset).get(label, frozenset()) == _reference_step(m, subset, label), (m, subset, label)
 
 
 nominal = st.integers(0, 10**9).map(
@@ -544,7 +544,7 @@ def reference_equivalence(m1, m2, strategy):
             states1, states2, layer, peak = node
             for label, nlayer in alphabet.moves[layer].items():
                 peak_after = max(peak, nlayer) if fresh else 0
-                succ = (m1.step(states1, label), m2.step(states2, label), nlayer, peak_after)
+                succ = (m1.row(states1).get(label, frozenset()), m2.row(states2).get(label, frozenset()), nlayer, peak_after)
                 if succ not in parent:
                     parent[succ] = (node, label)
                     next_frontier.append(succ)
@@ -667,7 +667,7 @@ def test_edge_map_witnesses_match_the_set_reference_on_learned_hypotheses():
 def _set_accepts(machine, word):
     states = machine.start
     for tok in word:
-        states = machine.step(states, tok)
+        states = machine.row(states).get(tok, frozenset())
     return not machine.finals.isdisjoint(states)
 
 
@@ -719,6 +719,64 @@ def test_wide_alphabet_subsets_are_quick():
     assert am.equivalence(am.minimize(d), compiled) is None
     assert time.monotonic() - started < 1.0
     assert am.state_count(d) == 321
+
+
+# One SHA-256 over the determinized and minimal machines of the verify bench
+# pool and their witnesses, recorded before determinize read positions.
+MACHINE_DIGEST = "d5034e254283011604cbe1a3e2c734aa9ef2c4b11a78381609c018c9b60f1f03"
+
+
+def test_verify_pool_machines_match_the_recorded_digest():
+    # The first 60 draws of the acceptance stream: determinize and minimize
+    # numbering, and each minimal machine's witnesses against its own
+    # compiled target (None) and against the next draw's (mostly a word).
+    # CI runs this under two hash seeds, like the acceptance pool digest.
+    compiled = [am.compile(cne, AB) for cne in islice(draws(ACCEPTANCE_SEED), 61)]
+    digest = hashlib.sha256()
+    for machine, neighbour in zip(compiled, compiled[1:]):
+        determinized = am.determinize(machine)
+        minimal = am.minimize(determinized)
+        witnesses = [am.equivalence(minimal, other, strategy) for other in (machine, neighbour) for strategy in Strategy]
+        digest.update((am.to_json(determinized) + am.to_json(minimal) + json.dumps(witnesses)).encode())
+    assert digest.hexdigest() == MACHINE_DIGEST
+
+
+def _with_start_loop(machine):
+    """``machine`` plus an eps self-loop on its initial state: the same
+    language, but nondeterministic, so it is read as state sets."""
+    transitions = [*machine.transitions, (machine.initial, EPS, machine.initial)]
+    return NominalAutomaton(machine.sigma, machine.n, machine.layers, machine.initial, machine.finals, transitions)
+
+
+def test_state_and_state_set_readings_agree():
+    # A deterministic machine is read by its states, the same machine with a
+    # start loop by eps-closed sets: q <-> {q} and None <-> the empty set.
+    # Partial machines leave their edges, so the empty set is reached too.
+    rng = random.Random(ACCEPTANCE_SEED)
+    compiled = [am.compile(cne, AB) for cne in islice(draws(ACCEPTANCE_SEED), 41)]
+    deterministic = [am.determinize(m) for m in compiled[:40]]
+    deterministic += [_partial(m, rng) for m in deterministic]
+    for machine, other in zip(deterministic, compiled[1:] * 2):
+        looped = _with_start_loop(machine)
+        assert machine.deterministic and not looped.deterministic
+        assert am.to_json(am.determinize(machine)) == am.to_json(am.determinize(looped))
+        for strategy in Strategy:
+            assert am.equivalence(machine, other, strategy) == am.equivalence(looped, other, strategy)
+            assert am.equivalence(other, machine, strategy) == am.equivalence(other, looped, strategy)
+
+
+def test_deterministic_machines_build_no_set_rows():
+    # A deterministic machine is read through delta; its per-state set rows
+    # would repeat every edge as a singleton frozenset.
+    rng = random.Random(ACCEPTANCE_SEED)
+    for cne in islice(draws(ACCEPTANCE_SEED), 20):
+        total = am.determinize(am.compile(cne, AB))
+        for machine in (total, _partial(total, rng)):
+            for use in (am.determinize, am.minimize, lambda m: am.isomorphic(m, m)):
+                fresh = am.from_json(am.to_json(machine))
+                assert fresh.deterministic
+                use(fresh)
+                assert fresh._rows is None, use
 
 
 # ---------------------------------------------------------------------------
