@@ -462,53 +462,83 @@ def _positions(m: NominalAutomaton):
 # minimization
 
 def minimize(m: NominalAutomaton) -> NominalAutomaton:
-    """Partition refinement over the legality-restricted behaviour.
+    """Hopcroft's partition refinement over the legality-restricted
+    behaviour, numbered straight from its blocks.
 
     Input must be deterministic and silent-move free.  The result is the
     unique smallest machine that is total on legal labels and accepts the
     same legal words; per-layer dead states count, so sinks survive where
     the language needs them.
+
+    Refinement starts from the (layer, final) blocks and keeps a worklist
+    of splitter blocks; a block split while it waits is replaced by both
+    halves, any other by the smaller half, so each state lies in
+    O(log states) of the splitters taken (Hopcroft 1971).  Whether a
+    label is legal depends only on the layer, so no block ever splits on
+    having an edge and the total-function algorithm applies.  The blocks
+    are then numbered breadth-first from the initial block, in ``moves``
+    order: what ``determinize`` does to the quotient, so the result is
+    the canonical form whatever order the blocks split in.
     """
     if not m.deterministic:
         raise NondeterministicInputError("minimize requires a deterministic automaton")
     # Refinement needs a machine total on legal labels.  The constructor
     # admits a non-eps edge only if its label is a key of ``moves`` at its
     # source's layer, so a deterministic machine with as many edges as
-    # legal labels is total already; its unreachable states fall away in
-    # the final determinize.  Rows of ``d.delta`` are read by label, in
-    # ``moves`` order, never in the order the edges were listed.
-    legal = sum(len(m.alphabet.moves[layer]) for layer in m.layers.values())
+    # legal labels is total already; its unreachable states are never
+    # numbered.  Rows of ``d.delta`` are read by label, in ``moves``
+    # order, never in the order the edges were listed.
+    moves = m.alphabet.moves
+    legal = sum(len(moves[layer]) for layer in m.layers.values())
     d = m if len(m.transitions) == legal else determinize(m)
+    delta, layers, finals = d.delta, d.layers, d.finals
 
-    block = {q: (d.layers[q], q in d.finals) for q in d.layers}
-    while True:
-        refined = {
-            q: (
-                block[q],
-                tuple(block[d.delta[q][label]] for label in d.alphabet.moves[d.layers[q]]),
-            )
-            for q in d.layers
-        }
-        if len(set(refined.values())) == len(set(block.values())):
-            break
-        # Renumber to ints, or signatures nest the previous round's and grow each round.
-        number = {}
-        block = {q: number.setdefault(sig, len(number)) for q, sig in refined.items()}
+    sources = {q: {} for q in layers}  # sources[dst][label]: the states label leads to dst from
+    for src, row in delta.items():
+        for label, dst in row.items():
+            sources[dst].setdefault(label, []).append(src)
+    kinds = {}  # (layer, final) -> its states: the first blocks
+    for q, layer in layers.items():
+        kinds.setdefault((layer, q in finals), set()).add(q)
+    blocks = list(kinds.values())
+    block_of = {q: b for b, members in enumerate(blocks) for q in members}
+    waiting = set(range(len(blocks)))
+    while waiting:
+        into = {}  # label -> the states it leads into the splitter from
+        for dst in blocks[waiting.pop()]:
+            for label, srcs in sources[dst].items():
+                into.setdefault(label, []).extend(srcs)
+        for srcs in into.values():
+            hit = {}  # block -> its states in srcs, each once: d is deterministic
+            for q in srcs:
+                hit.setdefault(block_of[q], []).append(q)
+            for b, moved in hit.items():
+                rest = blocks[b]
+                if len(moved) == len(rest):
+                    continue
+                rest.difference_update(moved)
+                new = len(blocks)
+                blocks.append(set(moved))
+                for q in moved:
+                    block_of[q] = new
+                waiting.add(new if b in waiting or len(moved) <= len(rest) else b)
 
-    # The quotient keeps the first state of each block; determinize
-    # renumbers it breadth-first from the initial block in label order.
-    rep = {}
-    for q in d.layers:
-        rep.setdefault(block[q], q)
-    layers = {q: d.layers[q] for q in rep.values()}
-    finals = [q for q in layers if q in d.finals]
-    transitions = [
-        (q, label, rep[block[d.delta[q][label]]])
-        for q in layers
-        for label in d.alphabet.moves[layers[q]]
-    ]
-    quotient = NominalAutomaton(d.sigma, d.n, layers, rep[block[d.initial]], finals, transitions)
-    return determinize(quotient)
+    initial = block_of[d.initial]
+    order, ids = [initial], {initial: "q0"}
+    out_layers, out_finals, transitions = {}, [], []
+    for b in order:  # grows while it is walked: breadth-first
+        q, src = next(iter(blocks[b])), ids[b]  # any member: all lead to the same blocks
+        out_layers[src] = layers[q]
+        if q in finals:
+            out_finals.append(src)
+        row = delta[q]
+        for label in moves[layers[q]]:
+            dst = block_of[row[label]]
+            if dst not in ids:
+                ids[dst] = f"q{len(ids)}"
+                order.append(dst)
+            transitions.append((src, label, ids[dst]))
+    return NominalAutomaton(d.sigma, d.n, out_layers, "q0", out_finals, transitions)
 
 
 def isomorphic(m1: NominalAutomaton, m2: NominalAutomaton) -> bool:

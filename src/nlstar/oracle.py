@@ -4,13 +4,15 @@ Membership here is decided by the bounded denotation of the expression
 (pure recursion on syntax), so these checks can falsify the compiler,
 the teacher and the learner.  A machine is read only through its own
 ``start``, ``row``, ``finals`` and raw ``transitions``.  Words are
-walked one length at a time, depth-first along ``words.Alphabet.moves``,
-on an explicit stack whose entries carry a prefix's open count and
-machine state set: a prefix that is extended costs one ``row`` of its
-set, which gives the sets of all its one-token extensions (shorter
-words are walked again in each longer pass), and memory is O(max_len)
-prefixes.  ``brute_equivalence`` extends no prefix that can no longer
-show a mismatch.  Desk scale only: lengths up to a dozen.
+walked in one depth-first pass in prefix order, along
+``words.Alphabet.moves``, on an explicit stack whose entries carry a
+prefix's open count and machine state set: a prefix that is extended
+costs one ``row`` of its set, which gives the sets of all its one-token
+extensions, and each prefix is extended at most once.  The stack holds
+O(max_len * tokens) entries.  ``brute_equivalence`` extends no prefix
+that can no longer show a mismatch, nor one whose extensions are no
+shorter than a mismatch it has found.  Desk scale only: lengths up to a
+dozen.
 """
 
 from __future__ import annotations
@@ -44,22 +46,27 @@ _NOWHERE = frozenset()
 
 
 def _walk(sigma, bound: EnumBound, start, row, keep=None):
-    """Each legal word within ``bound`` in ``enumerate_legal`` order, paired
-    with ``start`` moved token by token: a word's value is the one its
-    prefix's ``row(value)`` maps its last token to, or the empty set if it
-    maps it to none.  No shorter word for which ``keep(word, value)`` is
-    false is extended."""
-    # Last move first, so the stack pops them in token order.
-    moves = [[*legal.items()][::-1] for legal in shared_alphabet(sigma, bound.max_depth).moves]
-    for length in range(bound.max_len + 1):
-        stack = [((), 0, start)]
-        while stack:
-            word, count, value = stack.pop()
-            if len(word) == length:
-                yield word, value
-            elif keep is None or keep(word, value):
-                successors = row(value)
-                stack.extend((word + (tok,), after, successors.get(tok, _NOWHERE)) for tok, after in moves[count])
+    """Each legal word within ``bound``, paired with ``start`` moved token
+    by token: a word's value is the one its prefix's ``row(value)`` maps
+    its last token to, or the empty set if it maps it to none.  Words are
+    extended in prefix order, and a word's one-token extensions are
+    yielded in token order as soon as it is extended, so the words of
+    one length come in lexicographic order.  A word shorter than
+    ``max_len`` is extended unless ``keep(word, value)`` is false when its
+    turn comes, after every word yielded before it has been consumed."""
+    # No word nests deeper than it is long, so the table stops at max_len.
+    table = shared_alphabet(sigma, min(bound.max_depth, bound.max_len)).moves
+    moves = [[*legal.items()] for legal in table]
+    yield (), start
+    stack = [((), 0, start)]
+    while stack:
+        word, count, value = stack.pop()
+        if len(word) < bound.max_len and (keep is None or keep(word, value)):
+            successors = row(value)
+            extensions = [(word + (tok,), after, successors.get(tok, _NOWHERE)) for tok, after in moves[count]]
+            for longer, _, reached in extensions:
+                yield longer, reached
+            stack.extend(reversed(extensions))  # popped in token order
 
 
 def enumerate_legal(sigma, bound: EnumBound):
@@ -67,7 +74,8 @@ def enumerate_legal(sigma, bound: EnumBound):
     shortest first and lexicographic in the fixed token order within a
     length.  Every prefix of an emitted word is emitted too."""
     _check_bound(bound)
-    return [word for word, _ in _walk(sigma, bound, None, lambda value: {})]
+    words = [word for word, _ in _walk(sigma, bound, None, lambda value: {})]
+    return sorted(words, key=len)  # stable: each length stays in walk order
 
 
 def brute_membership(cne, word) -> bool:
@@ -92,8 +100,16 @@ def brute_equivalence(m: am.NominalAutomaton, cne, bound: EnumBound):
     A prefix is not extended when it begins no denoted word and none of
     its states is live, i.e. reaches a final state along ``m.transitions``
     (eps edges too; ignoring legality only over-approximates): both sides
-    reject all its extensions.  Only non-mismatches are skipped and the
-    order is kept, so the first mismatch is the one the full walk finds.
+    reject all its extensions.  Only non-mismatches are skipped there.
+    The walk brings the words of one length in lexicographic order, so
+    the first mismatch of a length is the least.  Once one is found, no
+    word of its length or longer is checked and no prefix that long is
+    extended, so the mismatch kept at the end is the first in
+    ``enumerate_legal`` order.  A mismatch is seen when its prefix is
+    extended, not when its own turn comes.  The pass reads at most one
+    row per kept prefix, mismatch or not, but a mismatch late in token
+    order is seen only after the live prefixes before its own prefix
+    are walked to ``max_len``.
     """
     _check_bound(bound)
     denoted = rx.denote_bounded(cne, bound.max_len)
@@ -105,8 +121,9 @@ def brute_equivalence(m: am.NominalAutomaton, cne, bound: EnumBound):
         fresh = sources.get(todo.pop(), set()) - live
         live |= fresh
         todo.extend(fresh)
-    keep = lambda word, states: word in heads or not live.isdisjoint(states)
+    witness, cut = None, bound.max_len + 1  # cut: the length of the witness so far
+    keep = lambda word, states: len(word) + 1 < cut and (word in heads or not live.isdisjoint(states))
     for word, states in _walk(m.sigma | rx.letters_of(cne), bound, m.start, m.row, keep):
-        if bool(states & m.finals) != (word in denoted):
-            return word
-    return None
+        if len(word) < cut and bool(states & m.finals) != (word in denoted):
+            witness, cut = word, len(word)
+    return witness

@@ -120,5 +120,6 @@ def test_from_json_text_raises_only_schema_errors(text):
 @example({**GOOD, "finals": {"q0": 1}})
 @example({**GOOD, "finals": "q0"})
 @example({**GOOD, "transitions": [{**GOOD["transitions"][0], "note": "ignored"}]})
+@example({**GOOD, "n": 2_879_312_407})  # a move table of about n * n / 2 entries ran out of memory
 def test_from_json_documents_raise_only_schema_errors(doc):
     check_from_json(json.dumps(doc))

@@ -141,7 +141,42 @@ def test_the_walk_extends_only_prefixes_that_can_still_mismatch():
     cne = canonicalize(parse_regex("ab<n.n*>", AB))
     machine = RowCounter(am.compile(cne, AB))
     assert brute_equivalence(machine, cne, EnumBound(10, 2)) is None
-    assert 0 < machine.rows < 1_000  # 76
+    assert 0 < machine.rows < 1_000  # 16
+
+
+def test_the_walk_extends_each_prefix_once():
+    # Every legal word of depth at most 2 over {a, b} begins a word of this
+    # language, so every state is live and no prefix is pruned: one row per
+    # legal word shorter than max_len.  Walking one length at a time read
+    # each such word's row once per longer length.
+    cne = canonicalize(parse_regex("(a + b + <n. (a + b + n + <m. (a + b + n + m)*>)*>)*", AB))
+    machine = RowCounter(am.compile(cne, AB))
+    assert brute_equivalence(machine, cne, EnumBound(6, 2)) is None
+    assert machine.rows == count_legal(2, 5, 2)
+
+
+def test_the_walk_stops_at_the_length_of_the_first_mismatch():
+    # The machine rejects only the words that begin "a a".  Once that
+    # mismatch is found, no later word of length 1 is extended: the rows
+    # read are those of the empty word and of "a".
+    cne = canonicalize(parse_regex("(a + b)*", AB))
+    machine = RowCounter(am.compile(canonicalize(parse_regex("eps + a + a b (a + b)* + b (a + b)*", AB)), AB))
+    assert brute_equivalence(machine, cne, EnumBound(6, 0)) == ("a", "a")
+    assert machine.rows == 2
+    # A mismatch is seen when its prefix is extended: "b" is, with the
+    # empty word, before the words that begin "a" are walked.
+    anything = "(a + b + <n. (a + b + n + <m. (a + b + n + m)*>)*>)*"
+    cne = canonicalize(parse_regex(anything, AB))
+    machine = RowCounter(am.compile(canonicalize(parse_regex(f"eps + a {anything}", AB)), AB))
+    assert brute_equivalence(machine, cne, EnumBound(6, 2)) == ("b",)
+    assert machine.rows == 1
+
+
+def test_a_depth_bound_past_the_length_bound_changes_nothing():
+    # No word nests deeper than it is long, so the move table stops there.
+    assert enumerate_legal(AB, EnumBound(3, 10**9)) == enumerate_legal(AB, EnumBound(3, 3))
+    cne = canonicalize(parse_regex("a <n. n>", AB))
+    assert brute_equivalence(am.compile(cne, AB), cne, EnumBound(4, 10**9)) is None
 
 
 def test_pruning_keeps_the_witness_of_a_machine_with_only_dead_states():

@@ -13,6 +13,7 @@ from nlstar.teacher import Answer, Teacher
 from nlstar.words import (
     CLOSE,
     OPEN,
+    MAX_REGISTERS,
     Alphabet,
     IllegalWordError,
     WordSyntaxError,
@@ -84,6 +85,17 @@ def test_alphabet_rejects_bad_letters():
     for bad in (-1, True, 1.5, "1", None):
         with pytest.raises(ValueError, match="bound n must be"):
             Alphabet({"a"}, bad)
+
+
+def test_register_bounds_above_the_limit_are_value_errors():
+    # The move table holds about n * n / 2 entries, so a huge bound would
+    # exhaust memory; the error names the bound and the limit.
+    assert Alphabet({"a"}, MAX_REGISTERS).n == MAX_REGISTERS
+    for bad in (MAX_REGISTERS + 1, 2_879_312_407):
+        with pytest.raises(ValueError, match=f"n = {bad} is over the limit {MAX_REGISTERS}"):
+            Alphabet({"a"}, bad)
+    with pytest.raises(am.InvalidAutomatonError, match="over the limit"):
+        am.NominalAutomaton({"a"}, MAX_REGISTERS + 1, {"q0": 0}, "q0", [], [])
 
 
 # Every entry point that takes a letter set: (name, call with sigma, a
