@@ -21,10 +21,12 @@ Text grammar (precedence: star > juxtaposition > '+')::
 Identifiers follow the letter syntax of ``words``; adjacent letters may
 be written without spaces when they split uniquely into declared letters
 ("ab" over sigma={a,b}).  Numbers are one to nine ASCII digits.  Brackets
-nest at most ``MAX_NESTING`` levels deep, and ``_check_height`` holds
-every tree, parsed or built in code, to the same height, so the recursive
-walks fit Python's stack: ``parse_regex`` reports a tree too tall as a
-``RegexSyntaxError``, every other public walk as ``TreeTooDeepError``.
+nest at most ``MAX_NESTING`` levels deep.  One scan without recursion,
+``_shape``, reads a tree's height, binder bound, letters, free names and
+canonicity; it holds every tree, parsed or built in code, to the same
+height, so the recursive walks fit Python's stack: ``parse_regex``
+reports a tree too tall as a ``RegexSyntaxError``, every other public
+walk as ``TreeTooDeepError``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache, reduce
 
-from .words import _LETTER, CLOSE, OPEN, check_count, letter_set
+from .words import _LETTER, CLOSE, OPEN, check_count, is_letter, letter_set
 
 
 class _Node:
@@ -235,11 +237,11 @@ class _Parser:
 def parse_regex(text: str, sigma):
     """Parse ``text`` over the declared letter set ``sigma``.  The parser
     recurses only on brackets, which ``_lex`` caps; the finished tree goes
-    through ``_check_height``, and a tree too tall is a ``RegexSyntaxError``
-    at position 0."""
+    through ``_shape``, and a tree too tall is a ``RegexSyntaxError`` at
+    position 0."""
     node = _Parser([*_lex(text), (None, None, len(text))], letter_set(sigma)).parse()
     try:
-        _check_height(node)
+        _shape(node)
     except TreeTooDeepError as exc:
         raise RegexSyntaxError(str(exc), 0) from None
     return node
@@ -274,52 +276,59 @@ def infer_sigma(text: str) -> frozenset:
 # ---------------------------------------------------------------------------
 # structural queries
 
-def free_names(node) -> frozenset:
-    _check_height(node)
+_Shape = namedtuple("_Shape", "height theta letters free canonical")
 
-    def walk(node, bound):
-        if isinstance(node, Name):
-            return frozenset() if node.ident in bound else frozenset([node.ident])
-        if isinstance(node, Binder):
-            return walk(node.body, bound | {node.name})
+
+def _shape(node) -> _Shape:
+    """Read a tree in one walk over an explicit stack, as ``words.summarize``
+    reads a word: its height, its binder-nesting depth θ, its letters, its
+    free names, and whether it is canonical.  A value that is not a node
+    raises ``TypeError``, a ``Letter`` whose symbol is not a letter
+    ``ValueError``, and a tree taller than ``MAX_NESTING`` levels
+    ``TreeTooDeepError``."""
+    height = deepest = 0
+    letters, free = set(), set()
+    canonical = True
+    stack = [(node, 1, 0, frozenset())]  # (node, its depth, open binders, bound names)
+    while stack:
+        node, at, level, bound = stack.pop()
+        if at > height:
+            height = at
         if isinstance(node, (Sum, Concat)):
-            return walk(node.left, bound) | walk(node.right, bound)
-        if isinstance(node, Star):
-            return walk(node.body, bound)
-        return frozenset()
+            stack.append((node.right, at + 1, level, bound))
+            stack.append((node.left, at + 1, level, bound))
+        elif isinstance(node, Star):
+            stack.append((node.body, at + 1, level, bound))
+        elif isinstance(node, Binder):
+            canonical = canonical and node.name == level + 1
+            if level + 1 > deepest:
+                deepest = level + 1
+            stack.append((node.body, at + 1, level + 1, bound | {node.name}))
+        elif isinstance(node, Name):
+            if node.ident not in bound:
+                free.add(node.ident)
+            canonical = canonical and isinstance(node.ident, int) and 1 <= node.ident <= level
+        elif isinstance(node, Letter):
+            if not is_letter(node.symbol):
+                raise ValueError(f"not a letter: {node.symbol!r}")
+            letters.add(node.symbol)
+        elif not isinstance(node, (Empty, Epsilon)):
+            raise TypeError(f"not a regex node: {node!r}")
+    if height > MAX_NESTING:
+        raise TreeTooDeepError(f"expression tree height {height} is over the limit {MAX_NESTING}")
+    return _Shape(height, deepest, frozenset(letters), frozenset(free), canonical)
 
-    return walk(node, frozenset())
+
+def free_names(node) -> frozenset:
+    return _shape(node).free
 
 
 def is_closed(node) -> bool:
     return not free_names(node)
 
 
-def _levels(node):
-    """The tree's nodes level by level, without recursion; a subtree that
-    several parents share appears once per level."""
-    nodes = [node]
-    while nodes:
-        yield nodes
-        below = {}
-        for parent in nodes:
-            if isinstance(parent, (Sum, Concat)):
-                below[id(parent.left)] = parent.left
-                below[id(parent.right)] = parent.right
-            elif isinstance(parent, (Star, Binder)):
-                below[id(parent.body)] = parent.body
-        nodes = list(below.values())
-
-
 def letters_of(node) -> frozenset:
-    return frozenset(n.symbol for nodes in _levels(node) for n in nodes if isinstance(n, Letter))
-
-
-def _check_height(node):
-    """Raise ``TreeTooDeepError`` if the tree is taller than the recursive walks allow."""
-    height = sum(1 for _ in _levels(node))
-    if height > MAX_NESTING:
-        raise TreeTooDeepError(f"expression tree height {height} is over the limit {MAX_NESTING}")
+    return _shape(node).letters
 
 
 def canonicalize(node):
@@ -330,7 +339,7 @@ def canonicalize(node):
     node; only binder names and references change.  A tree deeper than
     ``MAX_NESTING`` levels raises ``TreeTooDeepError``.
     """
-    missing = free_names(node)  # checks the height first
+    missing = free_names(node)  # checks the height and the nodes first
     if missing:
         raise FreeNameError(f"expression has free names: {sorted(map(str, missing))}")
 
@@ -354,41 +363,17 @@ def canonicalize(node):
 def is_canonical(node) -> bool:
     """Whether binders carry their nesting levels and names are in range.
     A tree deeper than ``MAX_NESTING`` levels raises ``TreeTooDeepError``."""
-    _check_height(node)
-
-    def walk(node, level):
-        if isinstance(node, Name):
-            return isinstance(node.ident, int) and 1 <= node.ident <= level
-        if isinstance(node, Binder):
-            return node.name == level + 1 and walk(node.body, level + 1)
-        if isinstance(node, (Sum, Concat)):
-            return walk(node.left, level) and walk(node.right, level)
-        if isinstance(node, Star):
-            return walk(node.body, level)
-        return True
-
-    return walk(node, 0)
+    return _shape(node).canonical
 
 
 def theta(node) -> int:
     """Binder-nesting depth bound of an expression."""
-    _check_height(node)
-
-    def walk(node):
-        if isinstance(node, (Sum, Concat)):
-            return max(walk(node.left), walk(node.right))
-        if isinstance(node, Star):
-            return walk(node.body)
-        if isinstance(node, Binder):
-            return 1 + walk(node.body)
-        return 0
-
-    return walk(node)
+    return _shape(node).theta
 
 
 def format_regex(node) -> str:
     """Render an expression; canonical trees print with integer names."""
-    _check_height(node)
+    _shape(node)  # the height guard; it also lets only nodes through
 
     def fmt(node, prec):
         if isinstance(node, Empty):
@@ -406,10 +391,8 @@ def format_regex(node) -> str:
         if isinstance(node, Concat):
             text = f"{fmt(node.left, 1)} {fmt(node.right, 2)}"
             return f"({text})" if prec > 1 else text
-        if isinstance(node, Sum):
-            text = f"{fmt(node.left, 0)} + {fmt(node.right, 1)}"
-            return f"({text})" if prec > 0 else text
-        raise TypeError(f"not a regex node: {node!r}")
+        text = f"{fmt(node.left, 0)} + {fmt(node.right, 1)}"  # a Sum
+        return f"({text})" if prec > 0 else text
 
     return fmt(node, 0)
 

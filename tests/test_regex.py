@@ -1,5 +1,7 @@
 import copy
 import pickle
+import re
+import sys
 import time
 from itertools import islice
 
@@ -23,6 +25,7 @@ from nlstar.regex import (
     Sum,
     TreeTooDeepError,
     _lex,
+    _shape,
     canonicalize,
     denote_bounded,
     format_regex,
@@ -30,6 +33,7 @@ from nlstar.regex import (
     infer_sigma,
     is_canonical,
     is_closed,
+    letters_of,
     parse_regex,
     theta,
 )
@@ -296,6 +300,55 @@ def test_canonical_trees_built_in_code_are_held_to_the_parser_limit(use):
         use(too_deep)
 
 
+TALL_CHAINS = [lambda t: Concat(t, Letter("b")), lambda t: Binder(1, t), Star]
+READERS = [free_names, is_closed, is_canonical, theta, letters_of]
+
+
+def frames_in_use():
+    frame, count = sys._getframe(1), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+@pytest.mark.parametrize("wrap", TALL_CHAINS, ids=["concat", "binder", "star"])
+def test_the_readers_do_not_use_the_python_stack(wrap):
+    fits = chain(wrap, MAX_NESTING)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames_in_use() + 40)
+    try:
+        for read in READERS:
+            read(fits)
+    finally:
+        sys.setrecursionlimit(limit)
+    for read in READERS:  # letters_of checks the height too
+        with pytest.raises(TreeTooDeepError, match=f"height {MAX_NESTING + 1} is over the limit"):
+            read(chain(wrap, MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("read", [canonicalize, *READERS], ids=lambda read: read.__name__)
+@pytest.mark.parametrize(
+    "bad, value",
+    [("a", "'a'"), (5, "5"), (Concat(Letter("a"), 5), "5"), (Binder(1, None), "None")],
+    ids=["str", "int", "int-in-concat", "none-in-binder"],
+)
+def test_a_value_that_is_not_a_node_is_a_type_error(read, bad, value):
+    with pytest.raises(TypeError, match=f"not a regex node: {value}$"):
+        read(bad)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [lambda node: denote_bounded(node, 1), compile_regex, format_regex, letters_of, theta],
+    ids=["denote_bounded", "compile", "format_regex", "letters_of", "theta"],
+)
+@pytest.mark.parametrize("symbol", [1, "A", "", None, ("a",)], ids=["int", "upper", "empty", "none", "tuple"])
+def test_a_letter_node_must_hold_a_letter(use, symbol):
+    # denote_bounded(Letter(1), 1) read the letter as the register word (1,).
+    with pytest.raises(ValueError, match=f"not a letter: {re.escape(repr(symbol))}$"):
+        use(Concat(Letter("a"), Star(Letter(symbol))))
+
+
 def test_theta_examples():
     assert theta(Letter("a")) == 0
     assert theta(canonicalize(parse_regex("<n. a n>", AB))) == 1
@@ -452,3 +505,89 @@ def test_denote_monotone_in_bound(node, max_len):
 def test_format_parse_roundtrip(node):
     cne = canonicalize(node)
     assert canonicalize(parse_regex(format_regex(cne), AB)) == cne
+
+
+# The recursive readers and the level walk that ``_shape`` replaced, kept
+# as references.
+def reference_free_names(node, bound=frozenset()):
+    if isinstance(node, Name):
+        return frozenset() if node.ident in bound else frozenset([node.ident])
+    if isinstance(node, Binder):
+        return reference_free_names(node.body, bound | {node.name})
+    if isinstance(node, (Sum, Concat)):
+        return reference_free_names(node.left, bound) | reference_free_names(node.right, bound)
+    if isinstance(node, Star):
+        return reference_free_names(node.body, bound)
+    return frozenset()
+
+
+def reference_is_canonical(node, level=0):
+    if isinstance(node, Name):
+        return isinstance(node.ident, int) and 1 <= node.ident <= level
+    if isinstance(node, Binder):
+        return node.name == level + 1 and reference_is_canonical(node.body, level + 1)
+    if isinstance(node, (Sum, Concat)):
+        return reference_is_canonical(node.left, level) and reference_is_canonical(node.right, level)
+    if isinstance(node, Star):
+        return reference_is_canonical(node.body, level)
+    return True
+
+
+def reference_theta(node):
+    if isinstance(node, (Sum, Concat)):
+        return max(reference_theta(node.left), reference_theta(node.right))
+    if isinstance(node, Star):
+        return reference_theta(node.body)
+    if isinstance(node, Binder):
+        return 1 + reference_theta(node.body)
+    return 0
+
+
+def reference_levels(node):
+    """The tree's nodes level by level; a shared subtree appears once per level."""
+    nodes = [node]
+    while nodes:
+        yield nodes
+        below = {}
+        for parent in nodes:
+            if isinstance(parent, (Sum, Concat)):
+                below[id(parent.left)] = parent.left
+                below[id(parent.right)] = parent.right
+            elif isinstance(parent, (Star, Binder)):
+                below[id(parent.body)] = parent.body
+        nodes = list(below.values())
+
+
+def reference_letters_of(node):
+    return frozenset(n.symbol for nodes in reference_levels(node) for n in nodes if isinstance(n, Letter))
+
+
+# Trees with free names, int names out of range and binders at the wrong level.
+NAME_IDENTS = st.one_of(st.sampled_from(["n", "m", "k"]), st.integers(-1, 4))
+loose = st.recursive(
+    st.one_of(
+        st.sampled_from([Empty(), Epsilon(), Letter("a"), Letter("b")]),
+        NAME_IDENTS.map(Name),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Sum, sub, sub),
+        st.builds(Concat, sub, sub),
+        st.builds(Star, sub),
+        st.builds(Binder, NAME_IDENTS, sub),
+    ),
+    max_leaves=24,
+)
+
+
+@given(st.one_of(loose, nominal, nominal.map(canonicalize)))
+@example(Binder(2, Name(2)))
+@example(Binder(1, Sum(Name(2), Binder(2, Name(1)))))
+@example(Concat(Name(0), Binder("n", Name("n"))))
+def test_the_scan_matches_the_recursive_readers(node):
+    shape = _shape(node)
+    assert shape.height == sum(1 for _ in reference_levels(node))
+    assert free_names(node) == shape.free == reference_free_names(node)
+    assert is_closed(node) == (not reference_free_names(node))
+    assert is_canonical(node) == shape.canonical == reference_is_canonical(node)
+    assert theta(node) == shape.theta == reference_theta(node)
+    assert letters_of(node) == shape.letters == reference_letters_of(node)
